@@ -9,10 +9,10 @@ sweeps a one-parameter family to exhibit the sign-change bifurcation.
 """
 
 from .errors import CircleHJError
-from .model import (HamiltonianModel, SearchBounds, check_assumptions,
-                    conjugate_model, constant_drift_model,
-                    cosine_potential_model, estimate_critical_value,
-                    freeze_classical, legendre_transform, make_quadratic_model,
+from .model import (HamiltonianModel, check_assumptions, conjugate_model,
+                    constant_drift_model, cosine_potential_model,
+                    estimate_critical_value, freeze_classical,
+                    legendre_transform, make_quadratic_model,
                     shift_hamiltonian)
 from .flow import (ContactState, OrbitResult, check_condition_A,
                    integrate_contact, integrate_reduced, shoot_stationary_orbit)

@@ -25,8 +25,8 @@ from .selftest import run_selftest
 _ASSUMPTION_ERRORS = (errors.NonPositiveA, errors.TurningPoint,
                       errors.EpsilonUnderflow, errors.TouchingViolated)
 _CONVERGENCE_ERRORS = (errors.NotConverged, errors.InnerNotConverged,
-                       errors.Diverged, errors.NoTrajectoryLanded,
-                       errors.CapTooSmall, errors.BracketFail, errors.BlowUp,
+                       errors.NoTrajectoryLanded, errors.CapTooSmall,
+                       errors.BracketFail, errors.BlowUp,
                        errors.NotNontrivial, errors.FlatObjective,
                        errors.NoBracket)
 
@@ -36,7 +36,8 @@ COMMANDS = ("check-model", "orbit", "evolve", "weak-kam", "action",
 
 def _search_params(cfg: ExperimentConfig) -> sg.SearchParams:
     return sg.SearchParams(v_max=cfg.get("search", "V_max"),
-                           p_max=cfg.get("search", "P_max"))
+                           p_max=cfg.get("search", "P_max"),
+                           u_max=cfg.get("search", "U_max"))
 
 
 def _grid(cfg) -> sg.Grid:
@@ -60,8 +61,9 @@ def _orbit(model, cfg):
 def cmd_check_model(model, cfg, out, files):
     from .model import check_assumptions, derivative_consistency
 
-    report = check_assumptions(model)
-    fd = derivative_consistency(model)
+    search = _search_params(cfg)
+    report = check_assumptions(model, search)
+    fd = derivative_consistency(model, search)
     files.append(reporting.write_flat_json(os.path.join(out, "check_model.json"), {
         "h1_ok": report.h1_ok, "h4_ok": report.h4_ok,
         "condition_C_ok": report.condition_c_ok,
@@ -225,7 +227,7 @@ def cmd_trichotomy(model, cfg, out, files):
     return {"class": rep.klass}
 
 
-def cmd_bifurcate(model, cfg, out, files, jobs=1):
+def cmd_bifurcate(model, cfg, out, files):
     lambdas = cfg.get("bifurcate", "lambdas")
     if not lambdas:
         raise errors.ConfigError("bifurcate.lambdas is required")
@@ -240,8 +242,7 @@ def cmd_bifurcate(model, cfg, out, files, jobs=1):
         family, lambdas, grid_n=cfg.get("bifurcate", "grid_n"),
         pinned_tol=cfg.get("bifurcate", "tol"),
         fp_tol=cfg.get("bifurcate", "fp_tol"),
-        n_max=cfg.get("bifurcate", "n_max"), jobs=jobs,
-        search=_search_params(cfg))
+        n_max=cfg.get("bifurcate", "n_max"), search=_search_params(cfg))
     rows = [(r.lam, r.klass, r.amplitude, r.period_estimate, r.min_abs_b)
             for r in diag.rows]
     files.append(reporting.write_csv(os.path.join(out, "bifurcation.csv"),
@@ -265,6 +266,7 @@ _DISPATCH = {
     "subsolution": cmd_subsolution,
     "periodic": cmd_periodic,
     "trichotomy": cmd_trichotomy,
+    "bifurcate": cmd_bifurcate,
 }
 
 
@@ -280,7 +282,7 @@ def _classify_exit(exc) -> int:
     return 1
 
 
-def run_command(command, config_path, out_dir, normalize_c=False, jobs=None,
+def run_command(command, config_path, out_dir, normalize_c=False,
                 plot=False) -> int:
     """Execute one experiment command; always leaves a manifest in out_dir."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -294,17 +296,12 @@ def run_command(command, config_path, out_dir, normalize_c=False, jobs=None,
         cfg_hash = cfg.hash()
         model = build_model(cfg)
         if normalize_c:
-            c = estimate_critical_value(model)
+            c = estimate_critical_value(model, search=_search_params(cfg))
             model = shift_hamiltonian(model, c)
             extra["normalized_c"] = c
-        njobs = jobs if jobs else (cfg.get("run", "jobs") or os.cpu_count() or 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sg.AccuracyWarning)
-            if command == "bifurcate":
-                extra.update(cmd_bifurcate(model, cfg, out_dir, files,
-                                           jobs=njobs))
-            else:
-                extra.update(_DISPATCH[command](model, cfg, out_dir, files))
+            extra.update(_DISPATCH[command](model, cfg, out_dir, files))
         if plot:
             csvs = [os.path.basename(f) for f in files if f.endswith(".csv")]
             plot_extra = extra.get("slice_times", [])
@@ -349,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--normalize-c", action="store_true")
-        p.add_argument("--jobs", type=int, default=0)
         p.add_argument("--plot", action="store_true")
     st = sub.add_parser("selftest")
     st.add_argument("--level", choices=("fast", "full"), default="fast")
@@ -365,8 +361,7 @@ def main(argv=None) -> int:
             return 1
         return 0
     return run_command(args.command, args.config, args.out,
-                       normalize_c=args.normalize_c, jobs=args.jobs,
-                       plot=args.plot)
+                       normalize_c=args.normalize_c, plot=args.plot)
 
 
 if __name__ == "__main__":

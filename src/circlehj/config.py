@@ -10,7 +10,7 @@ to a default.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,7 +87,6 @@ _SCHEMA = {
         "fp_tol": ("float", 1e-4),
         "n_max": ("int", 200),
     },
-    "run": {"jobs": ("int", 0)},
 }
 
 _POSITIVE = {
@@ -108,7 +107,6 @@ class ExperimentConfig:
     values: dict
     text: str
     path: Optional[str] = None
-    overrides: dict = field(default_factory=dict)
 
     def get(self, section, key):
         return self.values[section][key]
@@ -148,8 +146,6 @@ def parse_config_text(text: str, path=None) -> ExperimentConfig:
         lhs, rhs = stripped.split("=", 1)
         lhs = lhs.strip()
         rhs = rhs.strip()
-        if lhs == "jobs":  # shorthand for run.jobs
-            lhs = "run.jobs"
         if "." not in lhs:
             raise ConfigError(f"line {lineno}: key {lhs!r} has no section")
         section, key = lhs.split(".", 1)

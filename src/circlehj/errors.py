@@ -41,10 +41,6 @@ class InnerNotConverged(CircleHJError):
     """The per-step value fixed point failed; dt violates the contraction bound."""
 
 
-class Diverged(CircleHJError):
-    """An evolution escaped the working value window."""
-
-
 class NoTrajectoryLanded(CircleHJError):
     """No sampled characteristic reached the target point (shooting action)."""
 

@@ -25,19 +25,24 @@ from .errors import NoBracket, NonPositiveA, NotConverged
 
 
 @dataclass(frozen=True)
-class SearchBounds:
+class SearchParams:
     """Compact search window standing in for the noncompact phase space.
 
-    Extremizers are sought inside |p| <= p_max, |v| <= v_max, |u| <= u_max;
-    hitting the boundary is reported, never silently accepted.
+    Extremizers are sought inside |v| <= v_max, |p| <= p_max; the
+    structural checks sample values in |u| <= u_max.  The remaining
+    fields tune the velocity search of the evolution.
     """
 
-    p_max: float = 10.0
     v_max: float = 10.0
+    p_max: float = 10.0
+    n_velocities: int = 129
+    golden_tol: float = 1e-10
+    inner_tol: float = 1e-12
+    inner_max_iter: int = 100
     u_max: float = 50.0
 
 
-DEFAULT_BOUNDS = SearchBounds()
+DEFAULT_SEARCH = SearchParams()
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ def _as_coefficient(spec):
         def g(x):
             out = np.asarray(raw(x), dtype=float)
             if out.shape != np.shape(x):
-                out = np.broadcast_to(out, np.shape(x))
+                out = np.full(np.shape(x), out)
             if np.ndim(x) == 0:
                 return float(out)
             return out
@@ -344,28 +349,29 @@ def lagrangian(model, x, v, u, p_max=10.0):
     return v * p - model.eval_H(x, p, u)
 
 
-def legendre_transform(model, x, v, u, bounds: SearchBounds = DEFAULT_BOUNDS,
-                       tol=1e-12, max_iter=50):
+def legendre_transform(model, x, v, u,
+                       search: SearchParams = DEFAULT_SEARCH, tol=1e-12,
+                       max_iter=50):
     """Scalar Legendre transform: returns (L value, maximizing momentum).
 
     Safeguarded Newton on d_p(x, p, u) = v with a bisection fallback on a
     bracket grown inside [-p_max, p_max].  Raises NoBracket when no sign
     change exists in the window.
     """
-    if abs(v) > bounds.v_max:
-        raise ValueError(f"|v| = {abs(v):g} exceeds the search bound {bounds.v_max:g}")
+    if abs(v) > search.v_max:
+        raise ValueError(f"|v| = {abs(v):g} exceeds the search bound {search.v_max:g}")
 
     def g(p):
         return float(model.d_p(x, p, u)) - v
 
     lo, hi = -1.0, 1.0
-    while g(lo) > 0.0 and lo > -bounds.p_max:
-        lo = max(lo * 2.0, -bounds.p_max)
-    while g(hi) < 0.0 and hi < bounds.p_max:
-        hi = min(hi * 2.0, bounds.p_max)
+    while g(lo) > 0.0 and lo > -search.p_max:
+        lo = max(lo * 2.0, -search.p_max)
+    while g(hi) < 0.0 and hi < search.p_max:
+        hi = min(hi * 2.0, search.p_max)
     if g(lo) > 0.0 or g(hi) < 0.0:
         raise NoBracket(
-            f"d_p - v has no sign change on [{-bounds.p_max:g}, {bounds.p_max:g}] "
+            f"d_p - v has no sign change on [{-search.p_max:g}, {search.p_max:g}] "
             f"at (x={x:g}, v={v:g}, u={u:g})"
         )
 
@@ -388,7 +394,7 @@ def legendre_transform(model, x, v, u, bounds: SearchBounds = DEFAULT_BOUNDS,
     return L, p
 
 
-def check_assumptions(model, bounds: SearchBounds = DEFAULT_BOUNDS,
+def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH,
                       n_x=16, n_p=12, n_u=8) -> AssumptionReport:
     """Sample the structural assumptions on a compact window.
 
@@ -398,8 +404,8 @@ def check_assumptions(model, bounds: SearchBounds = DEFAULT_BOUNDS,
     Failures are reported, never raised.
     """
     xg = np.linspace(0.0, 1.0, n_x, endpoint=False)
-    pg = np.linspace(-bounds.p_max, bounds.p_max, n_p)
-    ug = np.linspace(-bounds.u_max, bounds.u_max, n_u)
+    pg = np.linspace(-search.p_max, search.p_max, n_p)
+    ug = np.linspace(-search.u_max, search.u_max, n_u)
     X, P, U = np.meshgrid(xg, pg, ug, indexing="ij")
 
     dpp = np.asarray(model.d_pp(X, P, U), dtype=float)
@@ -412,12 +418,12 @@ def check_assumptions(model, bounds: SearchBounds = DEFAULT_BOUNDS,
                  and (np.min(du) >= -model.kappa - 1e-12))
 
     XU = np.meshgrid(xg, ug, indexing="ij")
-    slopes_hi = np.asarray(model.d_p(XU[0], bounds.p_max + 0.0 * XU[0], XU[1]), float)
-    slopes_lo = np.asarray(model.d_p(XU[0], -bounds.p_max + 0.0 * XU[0], XU[1]), float)
+    slopes_hi = np.asarray(model.d_p(XU[0], search.p_max + 0.0 * XU[0], XU[1]), float)
+    slopes_lo = np.asarray(model.d_p(XU[0], -search.p_max + 0.0 * XU[0], XU[1]), float)
     h2_margin = float(min(np.min(slopes_hi), np.min(-slopes_lo)))
 
     min_H = -lagrangian(model, xg, np.zeros_like(xg), np.zeros_like(xg),
-                        p_max=bounds.p_max)
+                        p_max=search.p_max)
     c_margin = float(np.max(min_H))
     c_ok = c_margin < 0.0
 
@@ -428,13 +434,13 @@ def check_assumptions(model, bounds: SearchBounds = DEFAULT_BOUNDS,
     )
 
 
-def derivative_consistency(model, bounds: SearchBounds = DEFAULT_BOUNDS, n=64,
-                           fd_step=1e-6):
+def derivative_consistency(model, search: SearchParams = DEFAULT_SEARCH,
+                           n=64, fd_step=1e-6):
     """Worst central-difference mismatch of (d_p, d_x, d_u) against eval_H."""
     rng = np.random.default_rng(20240817)
     x = rng.uniform(0.0, 1.0, n)
-    p = rng.uniform(-0.5 * bounds.p_max, 0.5 * bounds.p_max, n)
-    u = rng.uniform(-0.2 * bounds.u_max, 0.2 * bounds.u_max, n)
+    p = rng.uniform(-0.5 * search.p_max, 0.5 * search.p_max, n)
+    u = rng.uniform(-0.2 * search.u_max, 0.2 * search.u_max, n)
     e = fd_step
     worst = 0.0
     fd_p = (model.eval_H(x, p + e, u) - model.eval_H(x, p - e, u)) / (2 * e)
@@ -447,7 +453,8 @@ def derivative_consistency(model, bounds: SearchBounds = DEFAULT_BOUNDS, n=64,
 
 
 def estimate_critical_value(model, grid_n=128, horizon=60.0, dt=4e-3,
-                            slope_tol=5e-3, bounds: SearchBounds = DEFAULT_BOUNDS):
+                            slope_tol=5e-3,
+                            search: SearchParams = DEFAULT_SEARCH):
     """Critical value of the frozen Hamiltonian H(x, p, 0).
 
     Runs the classical (u-independent) evolution from the zero datum and
@@ -461,7 +468,6 @@ def estimate_critical_value(model, grid_n=128, horizon=60.0, dt=4e-3,
     frozen = freeze_classical(model)
     grid = semigroup.Grid(grid_n)
     phi = semigroup.Field.constant(grid, 0.0)
-    search = semigroup.SearchParams(v_max=bounds.v_max, p_max=bounds.p_max)
     quarter = horizon / 4.0
     trace = semigroup.evolve(frozen, phi, horizon, dt, snapshot_every=quarter,
                              search=search, u_cap=np.inf)

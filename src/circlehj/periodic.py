@@ -11,8 +11,6 @@ bifurcation at sign change.
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,8 +21,8 @@ from .errors import (EpsilonUnderflow, FlatObjective, NotConverged,
                      TurningPoint)
 from .flow import OrbitResult, check_condition_A, shoot_stationary_orbit
 from .model import HamiltonianModel
-from .semigroup import (AccuracyWarning, DEFAULT_SEARCH, EvolutionTrace, Field,
-                        Grid, SearchParams, evolve, sup_dist)
+from .semigroup import (DEFAULT_SEARCH, EvolutionTrace, Field, Grid,
+                        SearchParams, _iterate_to_limit, evolve, sup_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,49 +198,11 @@ def _record_period(model, state, period, dt, m_slices, search):
     return trace.snapshots, trace.times
 
 
-def _period_map_limit(model, start, period, dt, n_max, tol, search,
-                      accept_factor=10.0):
-    """Iterate the period map to (quasi) stationarity.
-
-    Increments are measured only once cap nodes have cleared.  If they
-    bottom out above tol and then grow (the scheme-level repulsion of
-    the decreasing case), the best iterate is returned with the
-    quasi_converged flag; NotConverged if even that exceeds
-    accept_factor * tol.
-    """
-    current = start
-    history = []
-    best_gap = math.inf
-    best_state = None
-    quasi = False
-    n_done = 0
-    for k in range(n_max):
-        trace = evolve(model, current, period, dt, search=search)
-        nxt = trace.final
-        n_done = k + 1
-        has_caps = ((current.cap_mask is not None and current.cap_mask.any())
-                    or (nxt.cap_mask is not None and nxt.cap_mask.any()))
-        gap = sup_dist(nxt, current)
-        current = nxt
-        if has_caps:
-            continue
-        history.append(gap)
-        if gap < best_gap:
-            best_gap, best_state = gap, nxt
-        if gap <= tol:
-            return nxt, history, n_done, False
-        if len(history) >= 3 and gap > 2.0 * best_gap:
-            quasi = True
-            break
-    if best_state is not None and best_gap <= accept_factor * tol:
-        warnings.warn(
-            f"period map stagnated at increment {best_gap:g} > tol {tol:g}; "
-            "returning the best iterate", AccuracyWarning, stacklevel=2)
-        return best_state, history, n_done, True
-    raise NotConverged(
-        f"period map increment only reached {best_gap:g} after {n_done} "
-        f"periods (tol {tol:g})"
-    )
+def _period_map_limit(model, start, period, dt, n_max, tol, search):
+    """Iterate the period map to (quasi) stationarity, accepting 10 * tol."""
+    return _iterate_to_limit(
+        lambda f: evolve(model, f, period, dt, search=search), start, tol,
+        n_max, 10.0 * tol)
 
 
 def pinned_periodic_limit(model: HamiltonianModel, orbit: OrbitResult, x0=0.0,
@@ -544,20 +504,14 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
     model = family(lam)
     if lam < 0.0:
         # increasing case: everything contracts onto the unique fixed point
-        current = Field.constant(g, 0.1)
-        t = 0.0
-        gap = math.inf
-        while t < t_fp_max:
-            tr = evolve(model, current, 1.0, dt, search=search)
-            nxt = tr.final
-            gap = sup_dist(nxt, current)
-            current = nxt
-            t += 1.0
-            if gap <= fp_tol:
-                break
-        if gap > fp_tol:
-            return BifurcationRow(lam, "fixed_point", gap, math.nan, math.nan,
-                                  error=f"stationarity only reached {gap:g}")
+        try:
+            _, history, _, _ = _iterate_to_limit(
+                lambda f: evolve(model, f, 1.0, dt, search=search),
+                Field.constant(g, 0.1), fp_tol, math.ceil(t_fp_max), fp_tol)
+        except NotConverged as exc:
+            return BifurcationRow(lam, "fixed_point", math.nan, math.nan,
+                                  math.nan, error=str(exc))
+        gap = history[-1]
         try:
             orbit = shoot_stationary_orbit(model)
             min_b = check_condition_A(orbit)[1]
@@ -588,8 +542,7 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
 
 def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
                       grid_n=128, dt: Optional[float] = None, pinned_tol=5e-3,
-                      fp_tol=1e-4, n_max=200, t_fp_max=60.0, jobs=1,
-                      b_min_tol=1e-6,
+                      fp_tol=1e-4, n_max=200, t_fp_max=60.0, b_min_tol=1e-6,
                       search: SearchParams = DEFAULT_SEARCH) -> BifurcationDiagram:
     """Classify the family member at each parameter value.
 
@@ -598,21 +551,15 @@ def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
     positive parameter with min |dH/dp| above b_min_tol and the first
     without, +inf when transversality holds across the whole range.
     """
-    lams = sorted(float(l) for l in lambdas)
-
-    def run(lam):
+    rows = []
+    for lam in sorted(float(l) for l in lambdas):
         try:
-            return _sweep_row(family, lam, grid_n, dt, pinned_tol, fp_tol,
-                              n_max, t_fp_max, search)
+            rows.append(_sweep_row(family, lam, grid_n, dt, pinned_tol,
+                                   fp_tol, n_max, t_fp_max, search))
         except Exception as exc:  # a row must never kill the sweep
-            return BifurcationRow(lam, "degenerate", math.nan, math.nan,
-                                  math.nan, error=f"{type(exc).__name__}: {exc}")
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, lams))
-    else:
-        rows = [run(lam) for lam in lams]
+            rows.append(BifurcationRow(
+                lam, "degenerate", math.nan, math.nan, math.nan,
+                error=f"{type(exc).__name__}: {exc}"))
 
     lambda0 = math.inf
     prev_ok = None

@@ -29,28 +29,14 @@ import numpy as np
 
 from .errors import (BracketFail, CapTooSmall, InnerNotConverged,
                      NoTrajectoryLanded, NotConverged)
-from .model import HamiltonianModel, conjugate_model, solve_p_star_batch
+from .model import (DEFAULT_SEARCH, HamiltonianModel, SearchParams,
+                    conjugate_model, solve_p_star_batch)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class AccuracyWarning(UserWarning):
     """Configuration degrades accuracy (never stability)."""
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    """Velocity/momentum search configuration for the evolution."""
-
-    v_max: float = 10.0
-    p_max: float = 10.0
-    n_velocities: int = 129
-    golden_tol: float = 1e-10
-    inner_tol: float = 1e-12
-    inner_max_iter: int = 100
-
-
-DEFAULT_SEARCH = SearchParams()
 
 
 @dataclass(frozen=True)
@@ -161,7 +147,6 @@ class EvolutionTrace:
     model_name: str
     dt: float
     diverged: bool = False
-    forward: bool = False
 
     @property
     def final(self) -> Field:
@@ -447,7 +432,61 @@ def evolve_forward(model: HamiltonianModel, phi: Field, T: float, dt: float,
                    None if s.cap_value is None else -s.cap_value)
              for s in trace.snapshots]
     return EvolutionTrace(trace.times, snaps, model.name, trace.dt,
-                          diverged=trace.diverged, forward=True)
+                          diverged=trace.diverged)
+
+
+def _has_caps(field: Field) -> bool:
+    return field.cap_mask is not None and bool(field.cap_mask.any())
+
+
+def _iterate_to_limit(advance, start: Field, tol, n_max, accept_tol):
+    """Iterate a period map to (quasi) stationarity.
+
+    ``advance`` maps a field to the EvolutionTrace of one period.  An
+    increment (sup distance between consecutive iterates) counts only
+    when neither field of the period has capped nodes.  The iteration
+    stops converged at an increment <= tol.  It turns around once three
+    increments are counted and the newest exceeds twice the best: in the
+    decreasing case the scheme repels every datum that does not touch the
+    stationary state exactly, so grid-level errors eventually amplify.  A
+    diverged trace also ends it.  After a turn-around or a spent budget
+    of n_max periods the best iterate is returned with an AccuracyWarning
+    if its increment is <= accept_tol; otherwise NotConverged is raised.
+
+    Returns (state, counted increments, periods run, quasi-converged).
+    """
+    current = start
+    history = []
+    best_gap, best = math.inf, None
+    n_done = 0
+    diverged = False
+    for n_done in range(1, n_max + 1):
+        trace = advance(current)
+        if trace.diverged:
+            diverged = True
+            break
+        nxt = trace.final
+        capped = _has_caps(current) or _has_caps(nxt)
+        gap = sup_dist(nxt, current)
+        current = nxt
+        if capped:
+            continue
+        history.append(gap)
+        if gap < best_gap:
+            best_gap, best = gap, nxt
+        if gap <= tol:
+            return nxt, history, n_done, False
+        if len(history) >= 3 and gap > 2.0 * best_gap:
+            break
+    if best is not None and best_gap <= accept_tol:
+        warnings.warn(
+            f"limit stagnated at increment {best_gap:g} > tol {tol:g}; "
+            "returning the best iterate", AccuracyWarning, stacklevel=3)
+        return best, history, n_done, True
+    raise NotConverged(
+        f"increment only reached {best_gap:g} after {n_done} periods "
+        f"(tol {tol:g}, accept {accept_tol:g})"
+        + ("; the evolution diverged" if diverged else ""))
 
 
 def weak_kam_forward(model: HamiltonianModel, grid: Grid, tol=1e-6, t_max=80.0,
@@ -456,19 +495,10 @@ def weak_kam_forward(model: HamiltonianModel, grid: Grid, tol=1e-6, t_max=80.0,
                      phi0: Optional[Field] = None) -> Field:
     """Forward weak KAM solution: run T+ from zero until period-1 stationarity."""
     dt = grid.h if dt is None else dt
-    current = phi0.copy() if phi0 is not None else Field.constant(grid, 0.0)
-    t = 0.0
-    while t < t_max:
-        trace = evolve_forward(model, current, 1.0, dt, search=search)
-        if trace.diverged:
-            raise NotConverged("forward evolution diverged before stationarity")
-        nxt = trace.final
-        gap = sup_dist(nxt, current)
-        current = nxt
-        t += 1.0
-        if gap <= tol:
-            return current
-    raise NotConverged(f"forward weak KAM still moving by {gap:g} at t = {t_max:g}")
+    start = phi0 if phi0 is not None else Field.constant(grid, 0.0)
+    return _iterate_to_limit(
+        lambda f: evolve_forward(model, f, 1.0, dt, search=search), start,
+        tol, math.ceil(t_max), tol)[0]
 
 
 def weak_kam_backward(model: HamiltonianModel, u_plus: Field, tol=1e-6,
@@ -484,35 +514,10 @@ def weak_kam_backward(model: HamiltonianModel, u_plus: Field, tol=1e-6,
     increment turns around before reaching tol; it must at least dip
     below accept_tol, otherwise NotConverged is raised.
     """
-    grid = u_plus.grid
-    dt = grid.h if dt is None else dt
-    current = u_plus.copy()
-    best_gap = math.inf
-    best: Optional[Field] = None
-    t = 0.0
-    while t < t_max:
-        trace = evolve(model, current, 1.0, dt, search=search)
-        nxt = trace.final
-        gap = sup_dist(nxt, current)
-        t += 1.0
-        if gap < best_gap:
-            best_gap, best = gap, nxt
-        if gap <= tol:
-            return nxt
-        if trace.diverged or gap > 2.0 * best_gap:
-            break
-        current = nxt
-    if best is not None and best_gap <= accept_tol:
-        warnings.warn(
-            f"backward limit stagnated at increment {best_gap:g} > tol "
-            f"{tol:g} (grid-level repulsion of the stationary state); "
-            "returning the quasi-stationary iterate", AccuracyWarning,
-            stacklevel=2)
-        return best
-    raise NotConverged(
-        f"backward weak KAM increment only reached {best_gap:g} "
-        f"(accept_tol {accept_tol:g}); datum was not the touching one"
-    )
+    dt = u_plus.grid.h if dt is None else dt
+    return _iterate_to_limit(
+        lambda f: evolve(model, f, 1.0, dt, search=search), u_plus, tol,
+        math.ceil(t_max), accept_tol)[0]
 
 
 @dataclass
@@ -582,7 +587,7 @@ def _circle_signed(a, b):
 
 
 def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
-                     ode_dt=2.5e-3, land_window=1.0 / 256.0, max_refine=2):
+                     ode_dt=2.5e-3, max_refine=2):
     """Action value from characteristics: extremal landed endpoint value.
 
     Forward: integrate from (x0, p, u0) for time t over a momentum fan,
@@ -595,7 +600,7 @@ def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
     for attempt in range(max_refine + 1):
         xs0 = np.full(p_grid.shape, float(x0))
         us0 = np.full(p_grid.shape, float(u0))
-        xe, pe, ue, alive = _flow_batch(model, xs0, p_grid, us0, sign * t, ode_dt)
+        xe, _, _, alive = _flow_batch(model, xs0, p_grid, us0, sign * t, ode_dt)
         miss = np.where(alive, _circle_signed(xe, x), np.nan)
         vals = []
         sign_change = np.where(
@@ -617,8 +622,6 @@ def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
                 hi = np.where(pick_lo, hi, mid)
             ok = am & (np.abs(_circle_signed(xm, x)) < 1e-6)
             vals.extend(um[ok].tolist())
-        near = alive & (np.abs(miss) <= land_window)
-        vals.extend(ue[near].tolist())
         if vals:
             return float(min(vals) if direction == "forward" else max(vals))
         p_grid = np.linspace(-search.p_max, search.p_max, (p_grid.size - 1) * 4 + 1)
@@ -666,9 +669,8 @@ def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
                 f"action value {grid_value:g} is within 1% of the cap {u_cap:g}"
             )
     if method in ("shooting", "both"):
-        window = (grid.h if grid is not None else 1.0 / 256.0)
         shoot_value = _shooting_action(model, x0, u0, x, t, direction, search,
-                                       ode_dt=ode_dt, land_window=window)
+                                       ode_dt=ode_dt)
     value = grid_value if grid_value is not None else shoot_value
     return ActionResult(x0=float(x0), u0=float(u0), x=float(x), t=float(t),
                         value=value, method=method, cap_used=u_cap,

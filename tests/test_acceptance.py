@@ -210,7 +210,7 @@ def test_criterion_08_property_suites(cd_model, cd_orbit, grid256):
 def test_criterion_09_bifurcation(cd_model):
     family = lambda lam: make_quadratic_model(1.0, 1.0, 0.0, lam)
     diag = periodic.bifurcation_sweep(family, [-0.4, -0.2, 0.0, 0.2, 0.4],
-                                      grid_n=128, fp_tol=1e-4, jobs=2)
+                                      grid_n=128, fp_tol=1e-4)
     by_lam = {row.lam: row for row in diag.rows}
     ok = True
     details = []

@@ -61,9 +61,10 @@ def test_config_rejects_bad_values():
 
 
 def test_config_lambda_list_and_jobs():
-    cfg = parse_config_text("bifurcate.lambdas = -0.4,-0.2,0,0.2\njobs = 3\n")
+    cfg = parse_config_text("bifurcate.lambdas = -0.4,-0.2,0,0.2\n")
     assert cfg.get("bifurcate", "lambdas") == [-0.4, -0.2, 0.0, 0.2]
-    assert cfg.get("run", "jobs") == 3
+    with pytest.raises(ConfigError):
+        parse_config_text("jobs = 3\n")
 
 
 def test_config_hash_stable(tmp_path):
@@ -89,6 +90,20 @@ def test_orbit_command_and_determinism(cd_cfg_path, tmp_path):
     assert meta["period"] == pytest.approx(1.0, abs=1e-8)
     for name in meta["files"]:
         assert os.path.exists(os.path.join(out1, name))
+
+
+def test_check_model_honours_search_window(tmp_path):
+    # h2_margin = min(d_p(p_max), -d_p(-p_max)) = p_max - 1 for constant drift
+    margins = []
+    for extra in ("", "search.P_max = 2\n"):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(CD_CFG + extra)
+        out = str(tmp_path / f"w{len(margins)}")
+        assert cli.main(["check-model", "--config", str(cfg), "--out",
+                         out]) == 0
+        with open(os.path.join(out, "check_model.json")) as fh:
+            margins.append(float(json.load(fh)["h2_margin"]))
+    assert margins == [9.0, 1.0]
 
 
 def test_check_model_failure_exit_2(tmp_path):
@@ -184,7 +199,7 @@ def test_trichotomy_command(tmp_path):
 def test_bifurcate_command(tmp_path):
     cfg = tmp_path / "b.cfg"
     cfg.write_text("model.lambda = 0.5\nbifurcate.lambdas = -0.2,0,0.2\n"
-                   "bifurcate.grid_n = 128\njobs = 2\n")
+                   "bifurcate.grid_n = 128\n")
     out = str(tmp_path / "bif")
     assert cli.main(["bifurcate", "--config", str(cfg), "--out", out,
                      "--plot"]) == 0

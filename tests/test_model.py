@@ -95,6 +95,17 @@ def test_make_quadratic_examples():
     assert p == pytest.approx(1.0, abs=1e-9)
 
 
+def test_quadratic_coefficients_shape_and_value():
+    a_f, a_d, b_f, b_d, V_f, V_d, _ = cosine_potential_model().quad_coeffs
+    x = np.linspace(0.0, 1.0, 8, endpoint=False).reshape(2, 4)
+    for f, expect in ((a_f, np.ones_like(x)), (b_d, np.zeros_like(x)),
+                      (V_f, 0.2 * np.cos(2 * np.pi * x))):
+        out = f(x)
+        assert out.shape == x.shape and out.dtype == float
+        assert np.array_equal(out, expect)
+        assert type(f(0.25)) is float and f(0.25) == float(expect[0, 2])
+
+
 def test_make_quadratic_rejects_nonpositive_a():
     with pytest.raises(NonPositiveA):
         make_quadratic_model("0.5 + cos(2*pi*x)", 1.0, 0.0, 0.5)

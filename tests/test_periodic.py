@@ -273,8 +273,7 @@ def test_bifurcation_negative_rows_only():
 
 def test_bifurcation_cdv_family():
     family = lambda lam: make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", lam)
-    diag = periodic.bifurcation_sweep(family, [0.1, 0.3, 0.5], grid_n=128,
-                                      jobs=2)
+    diag = periodic.bifurcation_sweep(family, [0.1, 0.3, 0.5], grid_n=128)
     for row in diag.rows:
         assert row.klass == "periodic", row.error
         assert row.amplitude >= 0.5 * row.lam / (4.0 * math.pi ** 2)

@@ -189,6 +189,15 @@ def test_action_short_time_rejected(cd_model, grid256):
                            dt=1e-3)
 
 
+def test_shooting_action_lands_exactly(cd_model):
+    # a fan endpoint landing near x on the lower-action side must not
+    # undercut the bisected landing
+    x0, u0, x = 0.2463447121738267, 0.03115871058055633, 0.2992710178387148
+    res = sg.action_function(cd_model, x0, u0, x, 0.5, method="shooting")
+    assert res.value == pytest.approx(cd_pinned_action_exact(x0, u0, x, 0.5),
+                                      abs=1e-8)
+
+
 def test_shooting_no_trajectory_landed(cd_model):
     from circlehj.errors import NoTrajectoryLanded
     # a vanishing momentum window pins every characteristic to x0 + t
@@ -277,3 +286,95 @@ def test_trace_interpolation(cd_model, grid256):
     hi = trace.at(0.5)
     assert np.all(mid >= np.minimum(lo, hi) - 1e-12)
     assert np.all(mid <= np.maximum(lo, hi) + 1e-12)
+
+
+# ------------------------------------------------------------- limit driver
+
+def scripted(gaps, capped=(), diverged_at=None):
+    """advance() whose k-th period raises the field by gaps[k].
+
+    Periods listed in ``capped`` return a field with one capped node; the
+    period ``diverged_at`` returns a diverged trace.  A call past the
+    script raises IndexError.
+    """
+    calls = []
+
+    def advance(field):
+        k = len(calls)
+        calls.append(k)
+        values = field.values + gaps[k]
+        if k in capped:
+            mask = np.zeros(field.grid.n, dtype=bool)
+            mask[0] = True
+            values[0] = 50.0
+            nxt = sg.Field(field.grid, values, cap_mask=mask, cap_value=50.0)
+        else:
+            nxt = sg.Field(field.grid, values)
+        return sg.EvolutionTrace(np.array([0.0, 1.0]), [field, nxt], "stub",
+                                 1.0, diverged=(k == diverged_at))
+
+    return advance, calls
+
+
+def test_limit_converges_at_tol(recwarn):
+    advance, calls = scripted([2.0 ** -1, 2.0 ** -3, 2.0 ** -20])
+    start = sg.Field.constant(sg.Grid(64), 0.0)
+    state, history, n_done, quasi = sg._iterate_to_limit(
+        advance, start, 2.0 ** -20, 10, 2.0 ** -20)
+    assert history == [2.0 ** -1, 2.0 ** -3, 2.0 ** -20]
+    assert (n_done, quasi, len(calls)) == (3, False, 3)
+    assert np.all(state.values == 2.0 ** -1 + 2.0 ** -3 + 2.0 ** -20)
+    assert not recwarn.list
+
+
+def test_limit_turn_around_returns_best():
+    # the second increment more than doubles the first but only two are
+    # counted: the iteration goes on until the fourth
+    gaps = [2.0 ** -6, 2.0 ** -4, 2.0 ** -7, 2.0 ** -5, 1.0]
+    advance, calls = scripted(gaps)
+    start = sg.Field.constant(sg.Grid(64), 0.0)
+    with pytest.warns(sg.AccuracyWarning):
+        state, history, n_done, quasi = sg._iterate_to_limit(
+            advance, start, 2.0 ** -20, 10, 2.0 ** -7)
+    assert history == gaps[:4]
+    assert (n_done, quasi, len(calls)) == (4, True, 4)
+    assert np.all(state.values == sum(gaps[:3]))
+
+
+def test_limit_not_converged_above_accept_tol():
+    start = sg.Field.constant(sg.Grid(64), 0.0)
+    advance, calls = scripted([2.0 ** -6, 2.0 ** -4, 2.0 ** -7, 2.0 ** -5])
+    with pytest.raises(NotConverged):
+        sg._iterate_to_limit(advance, start, 2.0 ** -20, 10, 2.0 ** -8)
+    assert len(calls) == 4
+    # a spent budget ends the same way
+    advance, calls = scripted([2.0 ** -1, 2.0 ** -2])
+    with pytest.raises(NotConverged):
+        sg._iterate_to_limit(advance, start, 2.0 ** -20, 2, 2.0 ** -8)
+    assert len(calls) == 2
+
+
+def test_limit_skips_capped_periods():
+    # periods 0 and 1 touch a capped field (period 1 starts from one)
+    advance, calls = scripted([4.0, 2.0, 2.0 ** -1, 2.0 ** -20], capped=(0,))
+    start = sg.Field.constant(sg.Grid(64), 0.0)
+    _, history, n_done, quasi = sg._iterate_to_limit(
+        advance, start, 2.0 ** -20, 10, 2.0 ** -20)
+    assert history == [2.0 ** -1, 2.0 ** -20]
+    assert (n_done, quasi) == (4, False)
+
+
+def test_limit_stops_on_diverged_trace():
+    start = sg.Field.constant(sg.Grid(64), 0.0)
+    advance, calls = scripted([2.0 ** -6, 2.0 ** -7, 30.0], diverged_at=2)
+    with pytest.raises(NotConverged, match="diverged"):
+        sg._iterate_to_limit(advance, start, 2.0 ** -20, 10, 2.0 ** -8)
+    assert len(calls) == 3
+    # the best iterate before the divergence is still accepted
+    advance, calls = scripted([2.0 ** -6, 2.0 ** -7, 30.0], diverged_at=2)
+    with pytest.warns(sg.AccuracyWarning):
+        state, history, n_done, quasi = sg._iterate_to_limit(
+            advance, start, 2.0 ** -20, 10, 2.0 ** -7)
+    assert history == [2.0 ** -6, 2.0 ** -7]
+    assert (n_done, quasi, len(calls)) == (3, True, 3)
+    assert np.all(state.values == 2.0 ** -6 + 2.0 ** -7)
