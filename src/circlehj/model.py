@@ -36,7 +36,6 @@ class SearchParams:
     v_max: float = 10.0
     p_max: float = 10.0
     n_velocities: int = 129
-    golden_tol: float = 1e-10
     inner_tol: float = 1e-12
     inner_max_iter: int = 100
     u_max: float = 50.0

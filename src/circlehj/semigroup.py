@@ -10,9 +10,14 @@ value, iterated to a fixed point (a contraction as long as
 kappa * dt < 1/2).  For models whose Lagrangian is affine in u the fixed
 point collapses to a closed form, which the stepper exploits.
 
-The velocity search scans a uniform sample set and then sharpens the
-best bracket by golden-section; ties in the discrete argmin resolve to
-the smallest |v| so repeated runs are bit-identical.
+The velocity search scans a uniform sample set; ties in the discrete
+argmin resolve to the smallest |v| so repeated runs are bit-identical.
+It then minimizes exactly over the winning bracket: on each grid cell
+the foot crosses, the objective is convex in v, so its minimum is the
+stationary point v = H_p(x, p, u), p the cell's slope of the datum,
+clipped to the cell and the bracket (the exact semi-Lagrangian per-cell
+minimum).  Scan minima at the window ends +-v_max are counted as window
+hits on the trace.
 
 The forward semigroup is realized by conjugation: negate the datum,
 evolve under the model H(x,-p,-u), negate back.
@@ -31,9 +36,6 @@ from .errors import (BracketFail, CapTooSmall, InnerNotConverged,
                      NoTrajectoryLanded, NotConverged)
 from .model import (DEFAULT_SEARCH, HamiltonianModel, SearchParams,
                     conjugate_model, solve_p_star_batch)
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class AccuracyWarning(UserWarning):
     """Configuration degrades accuracy (never stability)."""
@@ -147,6 +149,9 @@ class EvolutionTrace:
     model_name: str
     dt: float
     diverged: bool = False
+    # node-steps whose velocity-scan minimum sat on +-v_max at an uncapped
+    # output node: the extremizer may lie outside the search window
+    window_hits: int = 0
 
     @property
     def final(self) -> Field:
@@ -197,15 +202,17 @@ class _StepWorkspace:
             self.dtL0 = self.dt * self._L_at_zero(X, Vm)
         else:
             self.dtL0 = None
-        # node coefficient tables so the velocity refinement runs without
-        # model callbacks: dt*L(x,v,0) = (v - ab)^2 * dt/(2a) - dt*V
+        # node columns (ab, n a, dt/(2a), dt V) of the quadratic family for
+        # the exact bracket minimum: dt*L(x,v,0) = (v - ab)^2 dt/(2a) - dt V
         self._quad_nodes = None
-        if model.quad_coeffs is not None:
+        if model.quad_coeffs is not None and self.affine is not None:
             a_f, _, b_f, _, V_f, _, _ = model.quad_coeffs
-            av = np.broadcast_to(np.asarray(a_f(self.x), float), self.x.shape)
-            bv = np.broadcast_to(np.asarray(b_f(self.x), float), self.x.shape)
-            Vv = np.broadcast_to(np.asarray(V_f(self.x), float), self.x.shape)
-            self._quad_nodes = (av * bv, self.dt / (2.0 * av), self.dt * Vv)
+            X = self.x[:, None]
+            av = np.broadcast_to(np.asarray(a_f(X), float), X.shape)
+            bv = np.broadcast_to(np.asarray(b_f(X), float), X.shape)
+            Vv = np.broadcast_to(np.asarray(V_f(X), float), X.shape)
+            self._quad_nodes = (av * bv, n * av, self.dt / (2.0 * av),
+                                self.dt * Vv)
 
     def _L_at_zero(self, x, v):
         if self.model.closed_form_L is not None:
@@ -229,57 +236,59 @@ class _StepWorkspace:
         cand = np.where(total <= row_min[:, None], self.abs_v[None, :], np.inf)
         return np.argmin(cand, axis=1), row_min
 
-    def _golden(self, values, lo, hi, u_arg):
-        """Vectorized golden-section refinement of v -> foot + dt L(x, v, u).
+    def _bracket(self, jstar):
+        """Velocities of the samples next to each scan argmin, and whether
+        the argmin is an end sample of the window."""
+        last = self.v.size - 1
+        lo = self.v[np.clip(jstar - 1, 0, last)]
+        hi = self.v[np.clip(jstar + 1, 0, last)]
+        return lo, hi, (jstar == 0) | (jstar == last)
 
-        u_arg is held fixed per node during the refinement; the caller
-        re-resolves the value fixed point afterwards.
+    def _cell_minimum(self, values, lo, hi, u):
+        """Exact min over v in [lo, hi] of I(values)(x - v dt) + dt L(x, v, u).
+
+        On each grid cell k that the foot x - v dt crosses, the P1
+        interpolant is affine in v with slope -dt n (phi_{k+1} - phi_k),
+        and L is convex in v, so the objective is convex on the cell.  Its
+        stationary point is v = H_p(x, p, u) with p = n (phi_{k+1} -
+        phi_k), where L_v = p; clipped to the cell and the bracket it is
+        the minimum on the cell.  For the quadratic family the node table
+        gives the vertex ab + n a (phi_{k+1} - phi_k) and the parabola.
+        u is held fixed per node.  Returns the minimum and its velocity.
         """
-        x = self.x
-        dt = self.dt
         n = self.grid.n
+        dtn = self.dt * n
         xn = self._xn
-        dtn = dt * n
-        quad = self._quad_nodes
-        if quad is not None:
-            ab, inv2a_dt, dtV = quad
-            dt_aff_u = (dt * self.affine * u_arg if self.affine else 0.0)
-
-        def g(vv):
-            s = xn - vv * dtn
-            i0f = np.floor(s)
-            fr = s - i0f
-            i0 = i0f.astype(np.int64) % n
-            i1 = (i0 + 1) % n
-            feet = values[i0] * (1.0 - fr) + values[i1] * fr
-            if quad is not None:
-                d = vv - ab
-                return feet + d * d * inv2a_dt - dtV + dt_aff_u
-            return feet + dt * self._L_at(x, vv, u_arg)
-
-        a = lo.copy()
-        b = hi.copy()
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
-        fc = g(c)
-        fd = g(d)
-        span = float(np.max(b - a))
-        it = 0
-        while span > self.search.golden_tol and it < 80:
-            sel = fc < fd
-            b = np.where(sel, d, b)
-            a = np.where(sel, a, c)
-            new_c = np.where(sel, b - _INV_PHI * (b - a), d)
-            new_d = np.where(sel, c, a + _INV_PHI * (b - a))
-            probe = np.where(sel, new_c, new_d)
-            fp = g(probe)
-            new_fc = np.where(sel, fp, fd)
-            new_fd = np.where(sel, fc, fp)
-            c, d, fc, fd = new_c, new_d, new_fc, new_fd
-            it += 1
-            span = float(np.max(b - a))
-        v_best = np.where(fc < fd, c, d)
-        return np.minimum(fc, fd), v_best
+        first = np.floor(xn - hi * dtn)  # cell of the foot at v = hi
+        last = np.floor(xn - lo * dtn)   # cell of the foot at v = lo
+        k = first[:, None] + np.arange(int(np.max(last - first)) + 1)
+        k0 = k.astype(np.int64) % n
+        phi_k = values[k0]
+        slope = values[(k0 + 1) % n] - phi_k
+        off = xn[:, None] - k            # foot at v = 0, in cells past k
+        v_lo = np.maximum(lo[:, None], (off - 1.0) / dtn)
+        v_hi = np.minimum(hi[:, None], off / dtn)
+        if self._quad_nodes is not None:
+            ab, na, inv2a_dt, dtV = self._quad_nodes
+            vv = np.clip(ab + na * slope, v_lo, v_hi)
+            d = vv - ab
+            total = phi_k + (off - vv * dtn) * slope + d * d * inv2a_dt - dtV
+        else:
+            x, uu = self.x[:, None], u[:, None]
+            p = n * slope
+            vertex = self.model.d_p(x, p, uu)
+            if self.model.closed_form_L is None:
+                # the numeric L clamps p* to [-p_max, p_max] and is linear
+                # in v beyond; a steeper cell is monotone, minimal at an end
+                vertex = np.where(np.abs(p) <= self.search.p_max, vertex,
+                                  np.copysign(np.inf, p))
+            vv = np.clip(vertex, v_lo, v_hi)
+            total = (phi_k + (off - vv * dtn) * slope
+                     + self.dt * self._L_at(x, vv, uu))
+        total = np.where(v_lo <= v_hi, total, np.inf)
+        j = np.argmin(total, axis=1)[:, None]
+        return (np.take_along_axis(total, j, axis=1)[:, 0],
+                np.take_along_axis(vv, j, axis=1)[:, 0])
 
 
 def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
@@ -293,7 +302,7 @@ def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
     ValueError when dt breaks that contraction bound.
     """
     ws = workspace or _StepWorkspace(model, phi.grid, dt, search)
-    raw = _step_values(ws, phi.values)
+    raw, _ = _step_values(ws, phi.values)
     return _recap(phi, raw)
 
 
@@ -306,7 +315,9 @@ def _recap(phi: Field, raw: np.ndarray) -> Field:
     return Field(phi.grid, vals, cap_mask=mask, cap_value=cap)
 
 
-def _step_values(ws: _StepWorkspace, values: np.ndarray) -> np.ndarray:
+def _step_values(ws: _StepWorkspace, values: np.ndarray):
+    """Values after one step, and a mask of nodes whose scan argmin is
+    an end sample of the velocity window."""
     if ws.model.kappa * ws.dt >= 0.5:
         raise ValueError(
             f"kappa*dt = {ws.model.kappa * ws.dt:g} >= 0.5 breaks the inner "
@@ -321,11 +332,10 @@ def _step_values(ws: _StepWorkspace, values: np.ndarray) -> np.ndarray:
 def _step_affine(ws: _StepWorkspace, values, cols):
     total = cols + ws.dtL0
     jstar, row_min = ws._tiebreak_argmin(total)
-    lo = ws.v[np.clip(jstar - 1, 0, ws.v.size - 1)]
-    hi = ws.v[np.clip(jstar + 1, 0, ws.v.size - 1)]
-    refined, _ = ws._golden(values, lo, hi, np.zeros_like(row_min))
+    lo, hi, edge = ws._bracket(jstar)
+    refined, _ = ws._cell_minimum(values, lo, hi, np.zeros_like(row_min))
     best = np.minimum(row_min, refined)
-    return best / (1.0 - ws.dt * ws.affine)
+    return best / (1.0 - ws.dt * ws.affine), edge
 
 
 def _step_generic(ws: _StepWorkspace, values, cols):
@@ -348,9 +358,8 @@ def _step_generic(ws: _StepWorkspace, values, cols):
             f"inner value iteration still moving by {delta:g} after "
             f"{ws.search.inner_max_iter} sweeps"
         )
-    lo = ws.v[np.clip(jstar - 1, 0, ws.v.size - 1)]
-    hi = ws.v[np.clip(jstar + 1, 0, ws.v.size - 1)]
-    refined, v_star = ws._golden(values, lo, hi, w)
+    lo, hi, edge = ws._bracket(jstar)
+    refined, v_star = ws._cell_minimum(values, lo, hi, w)
     w_ref = np.minimum(w, refined)
     # polish the fixed point at the refined velocity
     feet = _interp_periodic(values, ws.x - v_star * dt)
@@ -367,7 +376,7 @@ def _step_generic(ws: _StepWorkspace, values, cols):
             break
     else:
         raise InnerNotConverged("refined value iteration did not settle")
-    return w_ref
+    return w_ref, edge
 
 
 def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
@@ -401,8 +410,13 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
     snaps = [phi.copy()]
     current = phi
     diverged = False
+    hits = 0
     for k in range(1, steps + 1):
-        current = _recap(current, _step_values(ws, current.values))
+        raw, edge = _step_values(ws, current.values)
+        current = _recap(current, raw)
+        if current.cap_mask is not None:
+            edge &= ~current.cap_mask
+        hits += int(np.count_nonzero(edge))
         if k % stride == 0 or k == steps:
             times.append(k * dt_eff)
             snaps.append(current)
@@ -413,7 +427,7 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
                 snaps.append(current)
             break
     return EvolutionTrace(np.array(times), snaps, model.name, dt_eff,
-                          diverged=diverged)
+                          diverged=diverged, window_hits=hits)
 
 
 def evolve_forward(model: HamiltonianModel, phi: Field, T: float, dt: float,
@@ -432,7 +446,8 @@ def evolve_forward(model: HamiltonianModel, phi: Field, T: float, dt: float,
                    None if s.cap_value is None else -s.cap_value)
              for s in trace.snapshots]
     return EvolutionTrace(trace.times, snaps, model.name, trace.dt,
-                          diverged=trace.diverged)
+                          diverged=trace.diverged,
+                          window_hits=trace.window_hits)
 
 
 def _has_caps(field: Field) -> bool:

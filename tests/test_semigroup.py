@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlehj import semigroup as sg
 from circlehj.errors import BracketFail, CapTooSmall, NotConverged
@@ -55,6 +57,56 @@ def test_generic_inner_iteration_matches_affine(cd_model, grid256):
     fast = sg.lax_oleinik_step(cd_model, phi, 1e-3)
     slow = sg.lax_oleinik_step(generic, phi, 1e-3)
     assert np.max(np.abs(fast.values - slow.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, dt", [(1024, 8e-3), (256, 1.0 / 256)])
+def test_step_reaches_bracket_minimum(cd_model, n, dt):
+    # on rough data the objective is piecewise quadratic in v and need not
+    # be unimodal; the step must still attain the minimum over the scan's
+    # winning bracket, sampled here at 4001 velocities
+    g = sg.Grid(n)
+    phi = np.random.default_rng(0).uniform(-0.1, 0.1, n)
+    ws = sg._StepWorkspace(cd_model, g, dt, sg.DEFAULT_SEARCH)
+    jstar, _ = ws._tiebreak_argmin(ws.foot_matrix(phi) + ws.dtL0)
+    lo = ws.v[np.clip(jstar - 1, 0, ws.v.size - 1)]
+    hi = ws.v[np.clip(jstar + 1, 0, ws.v.size - 1)]
+    w = sg.lax_oleinik_step(cd_model, sg.Field(g, phi), dt, workspace=ws)
+    dense_min = np.empty(n)
+    for rows in np.array_split(np.arange(n), n // 128):
+        x = g.nodes[rows, None]
+        v = np.linspace(lo[rows], hi[rows], 4001, axis=1)
+        dense_min[rows] = np.min(sg._interp_periodic(phi, x - v * dt)
+                                 + dt * cd_model.closed_form_L(x, v, 0.0 * v)[0],
+                                 axis=1)
+    assert np.max(w.values * (1.0 - LAM * dt) - dense_min) <= 1e-12
+
+
+def test_window_hits_counted(cd_model, grid256):
+    # drift 12 moves characteristics faster than v_max = 10: every node's
+    # scan minimum sits on the window end, on both step paths
+    drift12 = constant_drift_model(12.0, LAM)
+    zero = sg.Field.constant(grid256, 0.0)
+    steps = 4
+    for model in (drift12, dataclasses.replace(drift12, l_affine_u=None,
+                                               quad_coeffs=None)):
+        trace = sg.evolve(model, zero, steps * grid256.h, grid256.h)
+        assert trace.window_hits == steps * grid256.n
+    assert sg.evolve(cd_model, zero, steps * grid256.h,
+                     grid256.h).window_hits == 0
+
+
+def test_generic_paths_match_on_rough_data(cd_model):
+    # at a reach of 82 cells the bracket objective of rough data is not
+    # unimodal; the generic step, with and without the closed-form L,
+    # must find the same minimum as the closed-form step
+    g = sg.Grid(1024)
+    phi = sg.Field(g, np.random.default_rng(0).uniform(-0.1, 0.1, g.n))
+    exact = sg.lax_oleinik_step(cd_model, phi, 8e-3).values
+    for dropped in (dict(), dict(closed_form_L=None)):
+        generic = dataclasses.replace(cd_model, l_affine_u=None,
+                                      quad_coeffs=None, **dropped)
+        slow = sg.lax_oleinik_step(generic, phi, 8e-3).values
+        assert np.max(np.abs(slow - exact)) <= 1e-10
 
 
 def test_evolve_constant_exact(cd_model):
@@ -378,3 +430,66 @@ def test_limit_stops_on_diverged_trace():
     assert history == [2.0 ** -6, 2.0 ** -7]
     assert (n_done, quasi, len(calls)) == (3, True, 3)
     assert np.all(state.values == 2.0 ** -6 + 2.0 ** -7)
+
+
+# ------------------------------------------------- exact step invariants
+
+N_PROP = 64
+H_PROP = 1.0 / N_PROP
+rough = st.lists(st.floats(-1.0, 1.0), min_size=N_PROP,
+                 max_size=N_PROP).map(np.array)
+gaps = st.lists(st.floats(0.0, 1.0), min_size=N_PROP,
+                max_size=N_PROP).map(np.array)
+# dt = h: a foot crosses up to 10 cells per step; dt = h/v_max: at most one
+dts = st.sampled_from((H_PROP, 0.1 * H_PROP, 1e-3))
+fast = settings(max_examples=50, deadline=None)
+
+
+def step(model, values, dt):
+    field = sg.Field(sg.Grid(N_PROP), values)
+    return sg.lax_oleinik_step(model, field, dt).values
+
+
+@fast
+@given(phi=rough, c=st.floats(-1.0, 1.0), dt=dts)
+def test_step_shift_identity(cdv_model, phi, c, dt):
+    lhs = step(cdv_model, phi + c, dt)
+    rhs = step(cdv_model, phi, dt) + c / (1.0 - LAM * dt)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13
+
+
+@fast
+@given(phi=rough, gap=gaps, dt=st.floats(1e-4, 0.1 * H_PROP))
+def test_step_monotone_within_one_cell(cdv_model, phi, gap, dt):
+    # With dt <= h/v_max the only kink of the objective in the window is
+    # at v = 0, a scan sample, so the scan may only pick the wrong convex
+    # piece by its sampling error dt*dv^2/(8a) (a = 1).  At larger reach
+    # kinks fall between samples and the error is not bounded this way.
+    dv = 2.0 * sg.DEFAULT_SEARCH.v_max / (sg.DEFAULT_SEARCH.n_velocities - 1)
+    slack = dt * dv ** 2 / 8.0 / (1.0 - LAM * dt) + 1e-14
+    assert np.all(step(cdv_model, phi, dt)
+                  <= step(cdv_model, phi + gap, dt) + slack)
+
+
+@fast
+@given(phi=rough, shift=st.integers(0, N_PROP - 1), dt=dts)
+def test_step_commutes_with_rotation(cd_model, phi, shift, dt):
+    lhs = step(cd_model, np.roll(phi, shift), dt)
+    rhs = np.roll(step(cd_model, phi, dt), shift)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13
+
+
+@fast
+@given(model=st.sampled_from(("cd", "cd2", "conj")),
+       dt=st.floats(1e-4, 8e-3))
+def test_zero_datum_fixed_under_constant_drift(cd_model, cd2_model, model,
+                                               dt):
+    chosen = {"cd": cd_model, "cd2": cd2_model,
+              "conj": conjugate_model(cd2_model)}[model]
+    assert np.all(step(chosen, np.zeros(N_PROP), dt) == 0.0)
+
+
+@fast
+@given(phi=rough, dt=dts)
+def test_step_deterministic(cdv_model, phi, dt):
+    assert np.array_equal(step(cdv_model, phi, dt), step(cdv_model, phi, dt))
