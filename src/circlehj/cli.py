@@ -114,7 +114,8 @@ def cmd_evolve(model, cfg, out, files):
     files.append(reporting.write_csv(os.path.join(out, "field.csv"),
                                      ("x", "value"),
                                      reporting.field_rows(trace.final)))
-    return {"diverged": trace.diverged, "t_end": float(trace.times[-1])}
+    return {"diverged": trace.diverged, "t_end": float(trace.times[-1]),
+            "window_hits": trace.window_hits}
 
 
 def cmd_weak_kam(model, cfg, out, files):

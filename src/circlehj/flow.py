@@ -1,5 +1,12 @@
 """Contact characteristic flow and the stationary periodic orbit.
 
+The characteristics of H(x, u', u) = 0 follow the contact vector field
+x' = H_p, p' = -H_x - H_u p, u' = H_p p - H (``contact_field``).  One
+classical RK4 step (``_rk4_step``) integrates it for the contact flow
+(``integrate_contact``), for the batch flow of the shooting action
+(``semigroup._flow_batch``) and, reparametrized by x, for the graph sweep
+(``_graph_sweep``).
+
 The stationary smooth solution of H(x, u', u) = 0 is found by shooting:
 where the graph speed dH/dp never vanishes, the orbit of the contact
 system is a graph over the circle, so reparametrizing the characteristic
@@ -17,7 +24,8 @@ from .errors import BlowUp, NotConverged, TurningPoint
 from .model import HamiltonianModel
 
 B_MIN_TOL = 1e-6
-_SWEEP_BLOW = 1e8
+BLOW_LIMIT = 500.0   # |p| and |u| bound of the contact flow
+_SWEEP_BLOW = 1e8    # |p| and |u| bound of the graph sweep
 
 
 @dataclass(frozen=True)
@@ -27,9 +35,6 @@ class ContactState:
     x: float
     p: float
     u: float
-
-    def reduced(self) -> "ContactState":
-        return ContactState(self.x % 1.0, self.p, self.u)
 
 
 @dataclass
@@ -80,148 +85,144 @@ def _interp_inclusive(x_nodes, values, x):
     return np.interp(np.asarray(x, dtype=float) % 1.0, x_nodes, values)
 
 
-def integrate_contact(model: HamiltonianModel, s0: ContactState, t_span, dt,
-                      blow_limit=500.0):
+def _rk4_step(field, s, y, h):
+    """One classical RK4 step of length h for dy/ds = field on a triple y.
+
+    The field is called as field(s, j, *y) at the start (j = 0), the
+    midpoint (j = 1) and the end (j = 2) of the step that begins at s, and
+    returns the triple dy/ds.  The entries of y are floats or numpy arrays
+    of one shape.
+    """
+    y0, y1, y2 = y
+    half = 0.5 * h
+    a1, b1, c1 = field(s, 0, y0, y1, y2)
+    a2, b2, c2 = field(s, 1, y0 + half * a1, y1 + half * b1, y2 + half * c1)
+    a3, b3, c3 = field(s, 1, y0 + half * a2, y1 + half * b2, y2 + half * c2)
+    a4, b4, c4 = field(s, 2, y0 + h * a3, y1 + h * b3, y2 + h * c3)
+    return (y0 + h * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0,
+            y1 + h * (b1 + 2 * b2 + 2 * b3 + b4) / 6.0,
+            y2 + h * (c1 + 2 * c2 + 2 * c3 + c4) / 6.0)
+
+
+def _callback_terms(model: HamiltonianModel, x, p, u):
+    """(H_p, -H_x - H_u p, H) from the model callables.
+
+    The contact field and the graph field both start from these terms; the
+    graph field divides by H_p and takes H itself.
+    """
+    hp = model.d_p(x, p, u)
+    hx = model.d_x(x, p, u)
+    hu = model.d_u(x, p, u)
+    return hp, -hx - hu * p, model.eval_H(x, p, u)
+
+
+def contact_field(model: HamiltonianModel):
+    """The contact vector field (H_p, -H_x - H_u p, H_p p - H) of the model.
+
+    The field is autonomous: field(s, j, x, p, u) ignores s and j.
+    """
+    def field(s, j, x, p, u):
+        hp, dp, hv = _callback_terms(model, x, p, u)
+        return hp, dp, hp * p - hv
+    return field
+
+
+def integrate_contact(model: HamiltonianModel, s0: ContactState, t_span, dt):
     """Fixed-step RK4 integration of the contact characteristic system.
 
     Returns (times, states, winding): states keep x reduced mod 1 while
     winding counts signed circle traversals.  Raises BlowUp when |p| or
-    |u| leaves the blow_limit window.
+    |u| exceeds BLOW_LIMIT.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / steps
-
-    def rhs(x, p, u):
-        hp = float(model.d_p(x, p, u))
-        hx = float(model.d_x(x, p, u))
-        hu = float(model.d_u(x, p, u))
-        hv = float(model.eval_H(x, p, u))
-        return hp, -hx - hu * p, hp * p - hv
-
+    field = contact_field(model)
     x, p, u = float(s0.x), float(s0.p), float(s0.u)
     times = [t0]
     states = [ContactState(x % 1.0, p, u)]
     for k in range(steps):
-        k1 = rhs(x, p, u)
-        k2 = rhs(x + 0.5 * h * k1[0], p + 0.5 * h * k1[1], u + 0.5 * h * k1[2])
-        k3 = rhs(x + 0.5 * h * k2[0], p + 0.5 * h * k2[1], u + 0.5 * h * k2[2])
-        k4 = rhs(x + h * k3[0], p + h * k3[1], u + h * k3[2])
-        x += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-        p += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-        u += h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
-        if abs(p) > blow_limit or abs(u) > blow_limit:
-            raise BlowUp(f"|p| or |u| exceeded {blow_limit:g} at t = {t0 + (k + 1) * h:g}")
+        x, p, u = _rk4_step(field, t0 + k * h, (x, p, u), h)
+        if abs(p) > BLOW_LIMIT or abs(u) > BLOW_LIMIT:
+            raise BlowUp(f"|p| or |u| exceeded {BLOW_LIMIT:g} at t = {t0 + (k + 1) * h:g}")
         times.append(t0 + (k + 1) * h)
         states.append(ContactState(x % 1.0, p, u))
     winding = int(np.floor(x))
     return np.array(times), states, winding
 
 
-def _quad_stage_tables(model, n):
-    """Coefficient tables of a quadratic model at the RK4 stage points.
+def _not_transverse(hp, x, b_min_tol):
+    """The TurningPoint raised where the graph speed |H_p| is too small."""
+    return TurningPoint(
+        f"|dH/dp| = {abs(hp):.3g} < {b_min_tol:g} near x = {x:.6f}; "
+        "the candidate graph is not transverse"
+    )
 
-    The sweep visits only x = k/(2n); precomputing the x-dependence there
-    lets the inner loop run in plain floats.
+
+def _graph_field(model: HamiltonianModel, n, b_min_tol):
+    """Field of the graph ODE d(t, p, u)/dx for a sweep over n cells.
+
+    It is the contact field divided by x' = H_p:
+    (1/H_p, (-H_x - H_u p)/H_p, p - H/H_p).  The sweep calls it at step k
+    as field(k, j, t, p, u), at x = k/n + j/(2n).  Quadratic models read
+    their coefficients from tables at the stage points i/(2n), i = 2k + j,
+    so the sweep runs in plain floats; other models call back.  Raises
+    TurningPoint when |H_p| drops below b_min_tol.
     """
+    h = 1.0 / n
+    half = 0.5 * h
+    if model.quad_coeffs is None:
+        def field(k, j, t, pv, uv):
+            x = k * h + half * j
+            hp, dp, hv = _callback_terms(model, x, pv, uv)
+            if abs(hp) < b_min_tol:
+                raise _not_transverse(hp, x, b_min_tol)
+            # Python floats: numpy scalars would slow the sweep's arithmetic
+            inv = 1.0 / float(hp)
+            return inv, inv * float(dp), pv - float(hv) * inv
+        return field
+
     xs = np.arange(2 * n + 1) / (2.0 * n)
     a_f, a_d, b_f, b_d, V_f, V_d, lam = model.quad_coeffs
-    A = np.broadcast_to(np.asarray(a_f(xs), float), xs.shape)
-    Ap = np.broadcast_to(np.asarray(a_d(xs), float), xs.shape)
-    B = np.broadcast_to(np.asarray(b_f(xs), float), xs.shape)
-    Bp = np.broadcast_to(np.asarray(b_d(xs), float), xs.shape)
-    Vv = np.broadcast_to(np.asarray(V_f(xs), float), xs.shape)
-    Vp = np.broadcast_to(np.asarray(V_d(xs), float), xs.shape)
-    c_hx = Vp - 0.5 * Ap * B * B - A * B * Bp
-    c_h = Vv - 0.5 * A * B * B
-    return (A.tolist(), Ap.tolist(), B.tolist(), Bp.tolist(),
-            c_hx.tolist(), c_h.tolist(), float(lam))
+    A, Ap, B, Bp, Vv, Vp = (np.broadcast_to(np.asarray(f(xs), float), xs.shape)
+                            for f in (a_f, a_d, b_f, b_d, V_f, V_d))
+    c_hx = (Vp - 0.5 * Ap * B * B - A * B * Bp).tolist()
+    c_h = (Vv - 0.5 * A * B * B).tolist()
+    A, Ap, B, Bp = A.tolist(), Ap.tolist(), B.tolist(), Bp.tolist()
+    lam = float(lam)
 
-
-def _quad_sweep(tables, p0, u0, n, b_min_tol, store):
-    """Pure-float RK4 sweep of the graph ODE for quadratic models."""
-    A, Ap, B, Bp, c_hx, c_h, lam = tables
-    h = 1.0 / n
-    t, p, u = 0.0, float(p0), float(u0)
-    if store:
-        ts = np.empty(n + 1)
-        ps = np.empty(n + 1)
-        us = np.empty(n + 1)
-        ts[0], ps[0], us[0] = t, p, u
-
-    def stage(i, pv, uv, x_report):
+    def field(k, j, t, pv, uv):
+        i = 2 * k + j
         q = pv + B[i]
         hp = A[i] * q
         if abs(hp) < b_min_tol:
-            raise TurningPoint(
-                f"|dH/dp| = {abs(hp):.3g} < {b_min_tol:g} near x = "
-                f"{x_report:.6f}; the candidate graph is not transverse"
-            )
+            raise _not_transverse(hp, i * half, b_min_tol)
         hx = (0.5 * Ap[i] * q + A[i] * Bp[i]) * q + c_hx[i]
         hval = 0.5 * A[i] * q * q + c_h[i] - lam * uv
         inv = 1.0 / hp
         return inv, inv * (-hx + lam * pv), pv - hval * inv
-
-    for k in range(n):
-        x = k * h
-        i = 2 * k
-        k1 = stage(i, p, u, x)
-        k2 = stage(i + 1, p + 0.5 * h * k1[1], u + 0.5 * h * k1[2], x)
-        k3 = stage(i + 1, p + 0.5 * h * k2[1], u + 0.5 * h * k2[2], x)
-        k4 = stage(i + 2, p + h * k3[1], u + h * k3[2], x)
-        t += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-        p += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-        u += h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
-        if abs(p) > _SWEEP_BLOW or abs(u) > _SWEEP_BLOW:
-            raise BlowUp(f"graph sweep blew up near x = {x:g}")
-        if store:
-            ts[k + 1], ps[k + 1], us[k + 1] = t, p, u
-    if store:
-        return ts, ps, us
-    return t, p, u
+    return field
 
 
-def _generic_sweep(model, p0, u0, n, b_min_tol, store):
-    """Scalar RK4 sweep calling the model callables directly."""
+def _graph_sweep(field, p0, u0, n, store):
+    """RK4 sweep of the graph ODE over the n cells of [0, 1].
+
+    Returns the end values (t, p, u), or with store the inclusive tables
+    (t, p, u) at x_k = k/n.  Raises BlowUp when |p| or |u| leaves the
+    sweep window.
+    """
     h = 1.0 / n
-    t, p, u = 0.0, float(p0), float(u0)
-    if store:
-        ts = np.empty(n + 1)
-        ps = np.empty(n + 1)
-        us = np.empty(n + 1)
-        ts[0], ps[0], us[0] = t, p, u
-
-    def rhs(x, pv, uv):
-        hp = float(model.d_p(x, pv, uv))
-        if abs(hp) < b_min_tol:
-            raise TurningPoint(
-                f"|dH/dp| = {abs(hp):.3g} < {b_min_tol:g} near x = {x:.6f}; "
-                "the candidate graph is not transverse"
-            )
-        inv = 1.0 / hp
-        hx = float(model.d_x(x, pv, uv))
-        hu = float(model.d_u(x, pv, uv))
-        hv = float(model.eval_H(x, pv, uv))
-        return inv, inv * (-hx - hu * pv), pv - hv * inv
-
+    y = (0.0, float(p0), float(u0))
+    rows = [y]
     for k in range(n):
-        x = k * h
-        k1 = rhs(x, p, u)
-        k2 = rhs(x + 0.5 * h, p + 0.5 * h * k1[1], u + 0.5 * h * k1[2])
-        k3 = rhs(x + 0.5 * h, p + 0.5 * h * k2[1], u + 0.5 * h * k2[2])
-        k4 = rhs(x + h, p + h * k3[1], u + h * k3[2])
-        t += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-        p += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-        u += h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
-        if abs(p) > _SWEEP_BLOW or abs(u) > _SWEEP_BLOW:
-            raise BlowUp(f"graph sweep blew up near x = {x:g}")
+        y = _rk4_step(field, k, y, h)
+        if abs(y[1]) > _SWEEP_BLOW or abs(y[2]) > _SWEEP_BLOW:
+            raise BlowUp(f"graph sweep blew up near x = {k * h:g}")
         if store:
-            ts[k + 1], ps[k + 1], us[k + 1] = t, p, u
-    if store:
-        return ts, ps, us
-    return t, p, u
+            rows.append(y)
+    return tuple(np.array(rows).T.copy()) if store else y
 
 
 def integrate_reduced(model: HamiltonianModel, p_start, u_start, n=1024,
@@ -232,10 +233,8 @@ def integrate_reduced(model: HamiltonianModel, p_start, u_start, n=1024,
     uniform steps; returns the inclusive tables (t, p, u) at x_k = k/n.
     Raises TurningPoint when |H_p| drops below b_min_tol.
     """
-    if model.quad_coeffs is not None:
-        tables = _quad_stage_tables(model, n)
-        return _quad_sweep(tables, p_start, u_start, n, b_min_tol, store=True)
-    return _generic_sweep(model, p_start, u_start, n, b_min_tol, store=True)
+    return _graph_sweep(_graph_field(model, n, b_min_tol), p_start, u_start,
+                        n, store=True)
 
 
 def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
@@ -249,14 +248,10 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
     branches are possible; the solver returns the one reached from the
     caller's guess.
     """
-    if model.quad_coeffs is not None:
-        tables = _quad_stage_tables(model, n)
+    field = _graph_field(model, n, b_min_tol)
 
-        def sweep_tail(p0, u0):
-            return _quad_sweep(tables, p0, u0, n, b_min_tol, store=False)
-    else:
-        def sweep_tail(p0, u0):
-            return _generic_sweep(model, p0, u0, n, b_min_tol, store=False)
+    def sweep_tail(p0, u0):
+        return _graph_sweep(field, p0, u0, n, store=False)
 
     def try_residual(qv):
         try:
@@ -307,7 +302,7 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
             f"(residual {np.max(np.abs(r)):.3g})"
         )
 
-    t, p, u = integrate_reduced(model, q[0], q[1], n=n, b_min_tol=b_min_tol)
+    t, p, u = _graph_sweep(field, q[0], q[1], n, store=True)
     x_nodes = np.linspace(0.0, 1.0, n + 1)
     speed = np.asarray(model.d_p(x_nodes, p, u), dtype=float)
     h_res = float(np.max(np.abs(model.eval_H(x_nodes, p, u))))

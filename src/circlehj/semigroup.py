@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (BracketFail, CapTooSmall, InnerNotConverged,
                      NoTrajectoryLanded, NotConverged)
+from .flow import BLOW_LIMIT, _rk4_step, contact_field
 from .model import (DEFAULT_SEARCH, HamiltonianModel, SearchParams,
                     conjugate_model, solve_p_star_batch)
 
@@ -86,10 +87,6 @@ class Field:
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "Field":
         return cls(grid, np.full(grid.n, float(value)))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
 
     @classmethod
     def pinned(cls, grid: Grid, x0: float, u0: float, cap: float) -> "Field":
@@ -556,42 +553,28 @@ class ActionResult:
         return abs(self.grid_value - self.shooting_value)
 
 
-def _flow_batch(model, x0, p0, u0, t_total, dt, blow_limit=500.0):
+def _flow_batch(model, x0, p0, u0, t_total, dt):
     """Vectorized RK4 for the contact system over a batch of momenta.
 
     Integrates for |t_total| forward (t_total > 0) or backward in time and
-    returns (x unreduced, p, u, alive mask).
+    returns (x unreduced, p, u, alive mask).  A member stops where |p| or
+    |u| exceeds BLOW_LIMIT or a value turns non-finite.
     """
     direction = 1.0 if t_total >= 0.0 else -1.0
     t_abs = abs(t_total)
     steps = max(1, int(math.ceil(t_abs / dt - 1e-12)))
     h = direction * t_abs / steps
-    x = np.asarray(x0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
-    u = np.asarray(u0, dtype=float).copy()
-    x, p, u = np.broadcast_arrays(x, p, u)
-    x, p, u = x.copy(), p.copy(), u.copy()
+    x, p, u = np.broadcast_arrays(np.asarray(x0, dtype=float),
+                                  np.asarray(p0, dtype=float),
+                                  np.asarray(u0, dtype=float))
     alive = np.ones(x.shape, dtype=bool)
-
-    def rhs(xv, pv, uv):
-        hp = model.d_p(xv, pv, uv)
-        hx = model.d_x(xv, pv, uv)
-        hu = model.d_u(xv, pv, uv)
-        hv = model.eval_H(xv, pv, uv)
-        return hp, -hx - hu * pv, hp * pv - hv
-
-    for _ in range(steps):
-        k1 = rhs(x, p, u)
-        k2 = rhs(x + 0.5 * h * k1[0], p + 0.5 * h * k1[1], u + 0.5 * h * k1[2])
-        k3 = rhs(x + 0.5 * h * k2[0], p + 0.5 * h * k2[1], u + 0.5 * h * k2[2])
-        k4 = rhs(x + h * k3[0], p + h * k3[1], u + h * k3[2])
-        dx = h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-        dp = h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-        du = h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
-        x = np.where(alive, x + dx, x)
-        p = np.where(alive, p + dp, p)
-        u = np.where(alive, u + du, u)
-        alive &= (np.abs(p) <= blow_limit) & (np.abs(u) <= blow_limit)
+    field = contact_field(model)
+    for k in range(steps):
+        xn, pn, un = _rk4_step(field, k * h, (x, p, u), h)
+        x = np.where(alive, xn, x)
+        p = np.where(alive, pn, p)
+        u = np.where(alive, un, u)
+        alive &= (np.abs(p) <= BLOW_LIMIT) & (np.abs(u) <= BLOW_LIMIT)
         alive &= np.isfinite(x) & np.isfinite(p) & np.isfinite(u)
     return x, p, u, alive
 

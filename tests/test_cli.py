@@ -137,6 +137,14 @@ def test_evolve_command_with_plot(cd_cfg_path, tmp_path):
     assert "trace_supnorm.csv" in script
     with open(os.path.join(out, "trace.csv")) as fh:
         assert fh.readline().strip() == "t,x,value"
+    assert meta["window_hits"] == 0
+    # characteristic speed 12 exceeds the velocity window v_max = 10
+    fast = tmp_path / "fast.cfg"
+    fast.write_text(CD_CFG.replace("model.b = 1\n", "model.b = 12\n")
+                    .replace("evolve.T = 0.5", "evolve.T = 0.02"))
+    out_fast = str(tmp_path / "ev_fast")
+    assert cli.main(["evolve", "--config", str(fast), "--out", out_fast]) == 0
+    assert manifest_of(out_fast)["window_hits"] > 0
 
 
 def test_weak_kam_command(cd_cfg_path, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,10 +114,22 @@ def test_condition_A(cd_orbit, cdv_orbit):
 
 
 def test_turning_point_on_rest_point():
-    # crest of the stationary set is a rest point: dH/dp = p = 0 there
+    # crest of the stationary set is a rest point: dH/dp = p = 0 there;
+    # the sweep reads coefficient tables, or calls back without them
     degenerate = make_quadratic_model(1.0, 0.0, -0.1, 1.0)
-    with pytest.raises(TurningPoint):
-        flow.shoot_stationary_orbit(degenerate, guess=(0.0, 0.0))
+    for model in (degenerate, replace(degenerate, quad_coeffs=None)):
+        with pytest.raises(TurningPoint):
+            flow.shoot_stationary_orbit(model, guess=(0.0, 0.0))
+
+
+def test_graph_field_tables_match_callbacks():
+    model = make_quadratic_model("1+0.3*sin(2*pi*x)", "1+0.2*cos(2*pi*x)",
+                                 "0.1*cos(4*pi*x)", 0.5)
+    tables = flow.integrate_reduced(model, 0.1, 0.2, n=256)
+    callbacks = flow.integrate_reduced(replace(model, quad_coeffs=None),
+                                       0.1, 0.2, n=256)
+    for a, b in zip(tables, callbacks):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_contact_flow_closes_on_shot(cdv_model, cdv_orbit):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from circlehj import semigroup as sg
 from circlehj.errors import BracketFail, CapTooSmall, NotConverged
+from circlehj.flow import BLOW_LIMIT
 from circlehj.model import conjugate_model, constant_drift_model
 
 from conftest import LAM, cd_pinned_action_exact, random_smooth_field
@@ -248,6 +249,20 @@ def test_shooting_action_lands_exactly(cd_model):
     res = sg.action_function(cd_model, x0, u0, x, 0.5, method="shooting")
     assert res.value == pytest.approx(cd_pinned_action_exact(x0, u0, x, 0.5),
                                       abs=1e-8)
+
+
+def test_flow_batch_alive_mask():
+    # batch twin of test_integrate_contact_blowup: p = 5 grows like
+    # 5 exp(t/2) and leaves the blow window before t = 12; p = 0 rides
+    # the zero orbit x = t
+    zeros = np.zeros(2)
+    x, p, u, alive = sg._flow_batch(constant_drift_model(), zeros,
+                                    np.array([0.0, 5.0]), zeros, 12.0, 1e-2)
+    assert alive.tolist() == [True, False]
+    assert x[0] == pytest.approx(12.0, abs=1e-9)
+    assert p[0] == 0.0 and u[0] == 0.0
+    assert np.isfinite([x[1], p[1], u[1]]).all()
+    assert max(abs(p[1]), abs(u[1])) > BLOW_LIMIT
 
 
 def test_shooting_no_trajectory_landed(cd_model):
