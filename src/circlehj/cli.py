@@ -291,17 +291,18 @@ def run_command(command, config_path, out_dir, normalize_c=False,
     status = 0
     extra = {}
     cfg_hash = ""
+    caught: list = []
     try:
         os.makedirs(out_dir, exist_ok=True)
         cfg = load_config(config_path)
         cfg_hash = cfg.hash()
         model = build_model(cfg)
-        if normalize_c:
-            c = estimate_critical_value(model, search=_search_params(cfg))
-            model = shift_hamiltonian(model, c)
-            extra["normalized_c"] = c
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sg.AccuracyWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", sg.AccuracyWarning)
+            if normalize_c:
+                c = estimate_critical_value(model, search=_search_params(cfg))
+                model = shift_hamiltonian(model, c)
+                extra["normalized_c"] = c
             extra.update(_DISPATCH[command](model, cfg, out_dir, files))
         if plot:
             csvs = [os.path.basename(f) for f in files if f.endswith(".csv")]
@@ -318,6 +319,13 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             traceback.print_exc()
     finally:
         extra.pop("slice_times", None)
+        accuracy_warnings = 0
+        for w in caught:
+            if issubclass(w.category, sg.AccuracyWarning):
+                accuracy_warnings += 1
+            else:
+                warnings.showwarning(w.message, w.category, w.filename,
+                                     w.lineno)
         ended = datetime.datetime.now(datetime.timezone.utc).isoformat()
         manifest = {
             "command": command,
@@ -326,6 +334,7 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             "ended": ended,
             "files": sorted(os.path.basename(f) for f in files),
             "exit_status": status,
+            "accuracy_warnings": accuracy_warnings,
         }
         manifest.update({k: v for k, v in extra.items()
                          if isinstance(v, (int, float, str, bool))})

@@ -107,11 +107,23 @@ def _as_coefficient(spec):
             "(symbolic differentiation needs an expression, not a callable)"
         )
     expr = sp.sympify(spec, locals={"x": xs, "pi": sp.pi, "cos": sp.cos, "sin": sp.sin})
-    dexpr = sp.diff(expr, xs)
-    f_raw = sp.lambdify(xs, expr, modules="numpy")
-    df_raw = sp.lambdify(xs, dexpr, modules="numpy")
 
-    def wrap(raw):
+    def wrap(e):
+        raw = sp.lambdify(xs, e, modules="numpy")
+        if not e.free_symbols:
+            # evaluated once, through the same lambdified arithmetic
+            c = float(raw(0.0))
+
+            def const(x):
+                shape = np.shape(x)
+                if not shape:
+                    return c
+                out = np.empty(shape)
+                out.fill(c)
+                return out
+
+            return const
+
         def g(x):
             out = np.asarray(raw(x), dtype=float)
             if out.shape != np.shape(x):
@@ -122,7 +134,7 @@ def _as_coefficient(spec):
 
         return g
 
-    return wrap(f_raw), wrap(df_raw), sp.srepr(expr)
+    return wrap(expr), wrap(sp.diff(expr, xs)), sp.srepr(expr)
 
 
 def make_quadratic_model(a, b, V, lam, kappa=None, delta=None,
@@ -302,9 +314,12 @@ def shift_hamiltonian(model: HamiltonianModel, c: float) -> HamiltonianModel:
 def solve_p_star_batch(model, x, v, u, p_max=10.0, tol=1e-12, max_iter=60):
     """Vectorized momentum solve d_p(x, p*, u) = v, clipped to [-p_max, p_max].
 
-    Newton from p = 0 with Hessian floor, then bisection cleanup for any
-    stragglers.  Elements whose root lies outside the window are clamped;
-    callers needing strict bracketing use legendre_transform instead.
+    Newton from p = 0 with Hessian floor until every element is settled:
+    converged, or clamped at -p_max (p_max) with d_p - v still positive
+    (negative), a fixed point of the clipped step for convex H.  Clamped
+    elements stay exactly at +-p_max; callers needing strict bracketing
+    use legendre_transform instead.  A bisection cleanup then runs only
+    on unconverged elements whose root the window brackets.
     """
     x, v, u = np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float),
                                   np.asarray(u, float))
@@ -312,26 +327,30 @@ def solve_p_star_batch(model, x, v, u, p_max=10.0, tol=1e-12, max_iter=60):
     scale = 1.0 + np.abs(v)
     for _ in range(max_iter):
         g = model.d_p(x, p, u) - v
-        if np.all(np.abs(g) <= tol * scale):
+        settled = ((np.abs(g) <= tol * scale) | ((p <= -p_max) & (g > 0.0))
+                   | ((p >= p_max) & (g < 0.0)))
+        if np.all(settled):
             break
         hess = np.maximum(model.d_pp(x, p, u), 1e-14)
         p = np.clip(p - g / hess, -p_max, p_max)
-    g = model.d_p(x, p, u) - v
+    else:
+        g = model.d_p(x, p, u) - v
     bad = np.abs(g) > 1e-9 * scale
-    if np.any(bad):
-        lo = np.full(x.shape, -p_max)
-        hi = np.full(x.shape, p_max)
-        g_lo = model.d_p(x, lo, u) - v
-        g_hi = model.d_p(x, hi, u) - v
-        bracketed = bad & (g_lo <= 0.0) & (g_hi >= 0.0)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            g_mid = model.d_p(x, mid, u) - v
-            take_lo = g_mid > 0.0
-            hi = np.where(bracketed & take_lo, mid, hi)
-            lo = np.where(bracketed & ~take_lo, mid, lo)
-        p = np.where(bracketed, 0.5 * (lo + hi), p)
-    return p
+    if not np.any(bad):
+        return p
+    lo = np.full(x.shape, -p_max)
+    hi = np.full(x.shape, p_max)
+    bracketed = (bad & (model.d_p(x, lo, u) - v <= 0.0)
+                 & (model.d_p(x, hi, u) - v >= 0.0))
+    if not np.any(bracketed):
+        return p
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        g_mid = model.d_p(x, mid, u) - v
+        take_lo = g_mid > 0.0
+        hi = np.where(bracketed & take_lo, mid, hi)
+        lo = np.where(bracketed & ~take_lo, mid, lo)
+    return np.where(bracketed, 0.5 * (lo + hi), p)
 
 
 def lagrangian(model, x, v, u, p_max=10.0):

@@ -579,9 +579,19 @@ def _flow_batch(model, x0, p0, u0, t_total, dt):
     return x, p, u, alive
 
 
-def _circle_signed(a, b):
-    """Signed circle distance a - b wrapped to [-1/2, 1/2)."""
-    return (np.asarray(a) - np.asarray(b) + 0.5) % 1.0 - 0.5
+def _landing_brackets(d, alive):
+    """Neighbouring fan members between which a trajectory lands.
+
+    d is the unreduced miss x_end - x of each member.  Members i and i+1,
+    both alive, bracket a landing iff some integer lies between d_i and
+    d_{i+1}; k = floor(max(d_i, d_{i+1})) is the largest, and d - k
+    changes sign on the pair.  A wrap jump of the circle distance across
+    x + 1/2 is not a bracket.  Returns (indices i, shifts k).
+    """
+    k = np.floor(np.maximum(d[:-1], d[1:]))
+    idx = np.nonzero(alive[:-1] & alive[1:]
+                     & (k >= np.minimum(d[:-1], d[1:])))[0]
+    return idx, k[idx]
 
 
 def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
@@ -589,39 +599,51 @@ def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
     """Action value from characteristics: extremal landed endpoint value.
 
     Forward: integrate from (x0, p, u0) for time t over a momentum fan,
-    bisect every landing bracket to x (mod 1), take the minimum arrival
-    value.  Backward: integrate backward in time and take the maximum
-    departure value (the dual extremum).
+    solve every landing bracket for x_end = x + k by Illinois regula
+    falsi (at most 52 batches), and take the minimum arrival value among
+    the landings within 1e-6 of x.  Backward: integrate backward in time
+    and take the maximum departure value (the dual extremum).
     """
     sign = 1.0 if direction == "forward" else -1.0
     p_grid = np.linspace(-search.p_max, search.p_max, n_p)
     for attempt in range(max_refine + 1):
-        xs0 = np.full(p_grid.shape, float(x0))
-        us0 = np.full(p_grid.shape, float(u0))
-        xe, _, _, alive = _flow_batch(model, xs0, p_grid, us0, sign * t, ode_dt)
-        miss = np.where(alive, _circle_signed(xe, x), np.nan)
-        vals = []
-        sign_change = np.where(
-            alive[:-1] & alive[1:], miss[:-1] * miss[1:] <= 0.0, False)
-        idx = np.nonzero(sign_change)[0]
-        if idx.size:
-            lo = p_grid[idx].copy()
-            hi = p_grid[idx + 1].copy()
-            f_lo = miss[idx].copy()
-            for _ in range(52):
-                mid = 0.5 * (lo + hi)
-                xm, pm, um, am = _flow_batch(
-                    model, np.full(mid.shape, float(x0)), mid,
-                    np.full(mid.shape, float(u0)), sign * t, ode_dt)
-                f_mid = _circle_signed(xm, x)
-                pick_lo = (f_lo * f_mid) > 0.0
-                lo = np.where(pick_lo, mid, lo)
-                f_lo = np.where(pick_lo, f_mid, f_lo)
-                hi = np.where(pick_lo, hi, mid)
-            ok = am & (np.abs(_circle_signed(xm, x)) < 1e-6)
-            vals.extend(um[ok].tolist())
-        if vals:
-            return float(min(vals) if direction == "forward" else max(vals))
+        xe, _, ue, alive = _flow_batch(model, np.full(p_grid.shape, float(x0)),
+                                       p_grid, float(u0), sign * t, ode_dt)
+        idx, k = _landing_brackets(xe - x, alive)
+        lo, hi = p_grid[idx], p_grid[idx + 1]
+        f_lo, f_hi = xe[idx] - x - k, xe[idx + 1] - x - k
+        low_end = np.abs(f_lo) <= np.abs(f_hi)
+        best_f = np.where(low_end, f_lo, f_hi)
+        best_u = np.where(low_end, ue[idx], ue[idx + 1])
+        side = np.zeros(idx.shape)      # endpoint replaced last: -1 lo, +1 hi
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            act = np.nonzero((np.abs(best_f) > 1e-13) & (lo < mid)
+                             & (mid < hi))[0]
+            if not act.size:
+                break
+            a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
+            q = (a * fb - b * fa) / (fb - fa)
+            q = np.where((a < q) & (q < b), q, mid[act])
+            xq, _, uq, aq = _flow_batch(model, np.full(q.shape, float(x0)), q,
+                                        float(u0), sign * t, ode_dt)
+            fq = np.where(aq, xq - x - k[act], np.nan)
+            better = np.abs(fq) < np.abs(best_f[act])
+            best_f[act] = np.where(better, fq, best_f[act])
+            best_u[act] = np.where(better, uq, best_u[act])
+            # Illinois: halve the kept end's value when it is kept twice
+            new_side = np.where(fq * fa > 0.0, -1.0, 1.0)
+            repeat = new_side == side[act]
+            f_lo[act] = np.where(new_side < 0.0, fq,
+                                 np.where(repeat, 0.5 * fa, fa))
+            f_hi[act] = np.where(new_side > 0.0, fq,
+                                 np.where(repeat, 0.5 * fb, fb))
+            lo[act] = np.where(new_side < 0.0, q, a)
+            hi[act] = np.where(new_side > 0.0, q, b)
+            side[act] = new_side
+        vals = best_u[np.abs(best_f) < 1e-6]
+        if vals.size:
+            return float(vals.min() if direction == "forward" else vals.max())
         p_grid = np.linspace(-search.p_max, search.p_max, (p_grid.size - 1) * 4 + 1)
     raise NoTrajectoryLanded(
         f"no characteristic from x0 = {x0:g} reached x = {x:g} at t = {t:g}"

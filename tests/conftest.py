@@ -3,7 +3,8 @@ import pytest
 
 from circlehj import flow
 from circlehj import semigroup as sg
-from circlehj.model import constant_drift_model, cosine_potential_model
+from circlehj.model import (HamiltonianModel, constant_drift_model,
+                            cosine_potential_model)
 
 LAM = 0.5
 
@@ -21,6 +22,26 @@ def cd2_model():
 @pytest.fixture(scope="session")
 def cdv_model():
     return cosine_potential_model(1.0, 0.2, LAM)
+
+
+@pytest.fixture(scope="session")
+def custom_model():
+    """(p+1)^2/2 - 1/2 + 0.1 cos 2 pi x - 0.5 u - 0.05 sin u as raw callables.
+
+    Not affine in u and without closed forms: the step solves the
+    Legendre momentum numerically, and p* = v - 1 leaves the momentum
+    window |p| <= 10 for v < -9.
+    """
+    tp = 2.0 * np.pi
+    return HamiltonianModel(
+        eval_H=lambda x, p, u: (0.5 * (p + 1) ** 2 - 0.5
+                                + 0.1 * np.cos(tp * x) - 0.5 * u
+                                - 0.05 * np.sin(u)),
+        d_p=lambda x, p, u: p + 1.0 + 0.0 * (x + u),
+        d_x=lambda x, p, u: -0.1 * tp * np.sin(tp * x) + 0.0 * (p + u),
+        d_u=lambda x, p, u: -0.5 - 0.05 * np.cos(u) + 0.0 * (x + p),
+        d_pp=lambda x, p, u: 1.0 + 0.0 * (x + p + u),
+        kappa=0.55, delta=0.45, name="custom-nonaffine")
 
 
 @pytest.fixture(scope="session")

@@ -138,6 +138,14 @@ def test_evolve_command_with_plot(cd_cfg_path, tmp_path):
     with open(os.path.join(out, "trace.csv")) as fh:
         assert fh.readline().strip() == "t,x,value"
     assert meta["window_hits"] == 0
+    # dt = 1e-3 exceeds h/v_max = 3.9e-4: counted, never written to data
+    assert meta["accuracy_warnings"] >= 1
+    fine = tmp_path / "fine.cfg"
+    fine.write_text(CD_CFG.replace("evolve.dt = 0.001\n", "evolve.dt = 0.0003\n")
+                    .replace("evolve.T = 0.5", "evolve.T = 0.03"))
+    out_fine = str(tmp_path / "ev_fine")
+    assert cli.main(["evolve", "--config", str(fine), "--out", out_fine]) == 0
+    assert manifest_of(out_fine)["accuracy_warnings"] == 0
     # characteristic speed 12 exceeds the velocity window v_max = 10
     fast = tmp_path / "fast.cfg"
     fast.write_text(CD_CFG.replace("model.b = 1\n", "model.b = 12\n")
@@ -229,6 +237,8 @@ def test_normalize_c_flag(tmp_path):
     meta = manifest_of(out)
     assert abs(meta["normalized_c"]) <= 1e-3  # already normalized family
     assert meta["period"] == pytest.approx(1.0, abs=1e-6)
+    # the critical-value evolution runs dt = 4e-3 above h/v_max = 7.8e-4
+    assert meta["accuracy_warnings"] == 1
 
 
 # ------------------------------------------------------------------ selftest

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from circlehj.model import (check_assumptions, conjugate_model,
                             constant_drift_model, cosine_potential_model,
                             derivative_consistency, estimate_critical_value,
                             freeze_classical, lagrangian, legendre_transform,
-                            make_quadratic_model)
+                            make_quadratic_model, solve_p_star_batch)
 
 
 def test_legendre_trivial_cd(cd_model):
@@ -104,6 +105,28 @@ def test_quadratic_coefficients_shape_and_value():
         assert out.shape == x.shape and out.dtype == float
         assert np.array_equal(out, expect)
         assert type(f(0.25)) is float and f(0.25) == float(expect[0, 2])
+
+
+def test_p_star_batch_settles_clamped_momenta(custom_model):
+    # the generic step's 128 x 129 scan: 896 velocities v < -9 have
+    # p* = v - 1 outside the window and settle at -p_max after one Newton
+    # sweep; they must not keep the sweeps (or a bisection) running
+    calls = []
+
+    def d_p(x, p, u):
+        calls.append(1)
+        return custom_model.d_p(x, p, u)
+
+    counted = dataclasses.replace(custom_model, d_p=d_p)
+    x = np.linspace(0.0, 1.0, 128, endpoint=False)[:, None]
+    v = np.linspace(-10.0, 10.0, 129)[None, :]
+    u = 0.3 * np.cos(2 * np.pi * x)
+    p = solve_p_star_batch(counted, x, v, u, p_max=10.0)
+    assert len(calls) <= 6
+    clamped = np.broadcast_to(v - 1.0 < -10.0, p.shape)
+    assert clamped.sum() == 896
+    assert np.all(p[clamped] == -10.0)
+    assert np.max(np.abs(p - (v - 1.0))[~clamped]) <= 1e-12
 
 
 def test_make_quadratic_rejects_nonpositive_a():

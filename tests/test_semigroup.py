@@ -244,11 +244,48 @@ def test_action_short_time_rejected(cd_model, grid256):
 
 def test_shooting_action_lands_exactly(cd_model):
     # a fan endpoint landing near x on the lower-action side must not
-    # undercut the bisected landing
+    # undercut the solved landing
     x0, u0, x = 0.2463447121738267, 0.03115871058055633, 0.2992710178387148
     res = sg.action_function(cd_model, x0, u0, x, 0.5, method="shooting")
     assert res.value == pytest.approx(cd_pinned_action_exact(x0, u0, x, 0.5),
                                       abs=1e-8)
+
+
+def test_shooting_action_flow_batches(cd_model, custom_model, monkeypatch):
+    # one fan plus a few Illinois batches per action, not 52 bisections
+    calls = []
+    flow_batch = sg._flow_batch
+
+    def counted(*args):
+        calls.append(1)
+        return flow_batch(*args)
+
+    monkeypatch.setattr(sg, "_flow_batch", counted)
+    x0, u0, x = 0.2463447121738267, 0.03115871058055633, 0.2992710178387148
+    sg.action_function(cd_model, x0, u0, x, 0.5, method="shooting")
+    assert len(calls) <= 6
+    for direction in ("forward", "backward"):
+        calls.clear()
+        sg.action_function(custom_model, 0.3, 0.1, 0.8, 0.5,
+                           direction=direction, method="shooting")
+        assert len(calls) <= 6
+
+
+def test_landing_brackets():
+    alive = np.ones(2, dtype=bool)
+    # a wrap jump of the circle distance across x + 1/2: no landing
+    idx, _ = sg._landing_brackets(np.array([0.4914, 0.5358]), alive)
+    assert idx.size == 0
+    # x and x + 1/2 both crossed: a landing with k = 0
+    idx, k = sg._landing_brackets(np.array([-0.1, 0.6]), alive)
+    assert idx.tolist() == [0] and k.tolist() == [0.0]
+    # a landing one winding on, in either order
+    idx, k = sg._landing_brackets(np.array([1.2, 0.9]), alive)
+    assert idx.tolist() == [0] and k.tolist() == [1.0]
+    # dead members bracket nothing
+    d = np.array([-0.1, 0.1, -0.1])
+    idx, _ = sg._landing_brackets(d, np.array([True, False, True]))
+    assert idx.size == 0
 
 
 def test_flow_batch_alive_mask():
@@ -288,6 +325,16 @@ def test_duality_roundtrip(cd_model):
     back_sharp = sg.action_function(cd_model, x, fwd.shooting_value, x0, t,
                                     direction="backward", method="shooting")
     assert back_sharp.shooting_value == pytest.approx(u0, abs=1e-6)
+
+
+def test_duality_roundtrip_shooting_nonaffine(custom_model):
+    # twin of the shooting roundtrip above on a model not affine in u,
+    # whose characteristics are not closed-form
+    x0, u0, x, t = 0.2, 0.1, 0.7, 0.8
+    fwd = sg.action_function(custom_model, x0, u0, x, t, method="shooting")
+    back = sg.action_function(custom_model, x, fwd.value, x0, t,
+                              direction="backward", method="shooting")
+    assert back.value == pytest.approx(u0, abs=1e-6)
 
 
 def test_reversibility_roundtrip(cd_model):
