@@ -107,7 +107,8 @@ def cmd_evolve(model, cfg, out, files):
                       u_cap=cfg.get("caps", "U_cap"))
     files.append(reporting.write_csv(os.path.join(out, "trace.csv"),
                                      ("t", "x", "value"),
-                                     reporting.trace_rows(trace)))
+                                     reporting.time_rows(trace.times,
+                                                         trace.snapshots)))
     files.append(reporting.write_csv(
         os.path.join(out, "trace_supnorm.csv"), ("t", "supnorm"),
         list(zip(trace.times.tolist(), trace.sup_norms().tolist()))))
@@ -194,7 +195,7 @@ def cmd_periodic(model, cfg, out, files):
                                  f"got {mode!r}")
     files.append(reporting.write_csv(os.path.join(out, "periodic.csv"),
                                      ("t", "x", "value"),
-                                     reporting.slices_rows(sol)))
+                                     reporting.time_rows(sol.times, sol.slices)))
     files.append(reporting.write_flat_json(os.path.join(out, "periodic.json"), {
         "mode": mode, "period": sol.period, "amplitude": sol.amplitude,
         "period_residual": sol.period_residual,

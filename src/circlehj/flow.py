@@ -173,7 +173,8 @@ def _graph_field(model: HamiltonianModel, n, b_min_tol):
     """
     h = 1.0 / n
     half = 0.5 * h
-    if model.quad_coeffs is None:
+    q = model.quad_coeffs
+    if q is None:
         def field(k, j, t, pv, uv):
             x = k * h + half * j
             hp, dp, hv = _callback_terms(model, x, pv, uv)
@@ -185,13 +186,12 @@ def _graph_field(model: HamiltonianModel, n, b_min_tol):
         return field
 
     xs = np.arange(2 * n + 1) / (2.0 * n)
-    a_f, a_d, b_f, b_d, V_f, V_d, lam = model.quad_coeffs
     A, Ap, B, Bp, Vv, Vp = (np.broadcast_to(np.asarray(f(xs), float), xs.shape)
-                            for f in (a_f, a_d, b_f, b_d, V_f, V_d))
+                            for f in (q.a, q.a_x, q.b, q.b_x, q.V, q.V_x))
     c_hx = (Vp - 0.5 * Ap * B * B - A * B * Bp).tolist()
     c_h = (Vv - 0.5 * A * B * B).tolist()
     A, Ap, B, Bp = A.tolist(), Ap.tolist(), B.tolist(), Bp.tolist()
-    lam = float(lam)
+    lam = float(q.lam)
 
     def field(k, j, t, pv, uv):
         i = 2 * k + j

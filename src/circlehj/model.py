@@ -15,8 +15,8 @@ arrays.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import InitVar, dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import sympy as sp
@@ -44,16 +44,53 @@ class SearchParams:
 DEFAULT_SEARCH = SearchParams()
 
 
+class QuadCoeffs(NamedTuple):
+    """Coefficients of a quadratic-family member
+    H = a/2 (p + b)^2 + V - a b^2/2 - lam u.
+
+    a, b, V and their x-derivatives a_x, b_x, V_x are vectorized callables
+    of the circle coordinate; lam is the u-coupling.  The record is the
+    models' one fast path: the closed-form Lagrangian, the step's node
+    tables and the graph field all read it.
+    """
+
+    a: Callable
+    a_x: Callable
+    b: Callable
+    b_x: Callable
+    V: Callable
+    V_x: Callable
+    lam: float
+
+    def lagrangian(self, x, v, u):
+        """Closed-form Legendre transform: (L(x, v, u), maximizing momentum)."""
+        av = self.a(x)
+        bv = self.b(x)
+        p_star = v / av - bv
+        L = (v - av * bv) ** 2 / (2.0 * av) - self.V(x) + self.lam * u
+        return L, p_star
+
+    def conjugate(self) -> "QuadCoeffs":
+        """Record of H(x, -p, -u): b, b_x and lam change sign."""
+        b, b_x = self.b, self.b_x
+        return self._replace(b=lambda x: -b(x), b_x=lambda x: -b_x(x),
+                             lam=-self.lam)
+
+    def shifted(self, c: float) -> "QuadCoeffs":
+        """Record of H - c: the potential drops by c."""
+        V = self.V
+        return self._replace(V=lambda x: V(x) - c)
+
+
 @dataclass(frozen=True)
 class HamiltonianModel:
     """Contact Hamiltonian on T*S x R with partial derivatives.
 
     All callables take (x, p, u) -- x is a period-1 circle coordinate --
-    and must broadcast over numpy arrays.  ``closed_form_L``, when set,
-    maps (x, v, u) to the pair (Lagrangian value, maximizing momentum).
-    ``l_affine_u`` is the constant c such that L(x,v,u) = L(x,v,0) + c*u,
-    available for models whose u-dependence is linear; the evolution code
-    uses it to collapse the per-step value fixed point.
+    and must broadcast over numpy arrays.  ``quad_coeffs``, when set, is
+    the QuadCoeffs record of a quadratic-family member; the Lagrangian,
+    the evolution step and the graph sweep then use its closed forms
+    instead of calling back.
     """
 
     eval_H: Callable
@@ -63,13 +100,19 @@ class HamiltonianModel:
     d_pp: Callable
     kappa: float
     delta: float
-    lambda_param: float = 0.0
-    closed_form_L: Optional[Callable] = None
-    l_affine_u: Optional[float] = None
     name: str = "custom"
-    # (a, a', b, b', V, V', lam) for quadratic-family members; lets the ODE
-    # sweeps precompute coefficient tables instead of calling back per stage
-    quad_coeffs: Optional[tuple] = None
+    quad_coeffs: Optional[QuadCoeffs] = None
+    # Former fast-path hooks, accepted only as None: circlebench/workloads.py
+    # builds its callback-only model with dataclasses.replace(model,
+    # closed_form_L=None, l_affine_u=None, quad_coeffs=None).  They go once
+    # that call drops the two keywords (ROADMAP item 5).
+    closed_form_L: InitVar[None] = None
+    l_affine_u: InitVar[None] = None
+
+    def __post_init__(self, closed_form_L, l_affine_u):
+        if closed_form_L is not None or l_affine_u is not None:
+            raise TypeError("closed_form_L and l_affine_u are no longer "
+                            "model fields; pass quad_coeffs=QuadCoeffs(...)")
 
 
 @dataclass(frozen=True)
@@ -177,20 +220,12 @@ def make_quadratic_model(a, b, V, lam, kappa=None, delta=None,
     def d_pp(x, p, u):
         return a_f(x) + 0.0 * (p + u)
 
-    def closed_form_L(x, v, u):
-        av = a_f(x)
-        bv = b_f(x)
-        p_star = v / av - bv
-        L = (v - av * bv) ** 2 / (2.0 * av) - V_f(x) + lam * u
-        return L, p_star
-
     name = f"quadratic[a={a}, b={b}, V={V}, lambda={lam:g}]"
     return HamiltonianModel(
         eval_H=eval_H, d_p=d_p, d_x=d_x, d_u=d_u, d_pp=d_pp,
         kappa=float(kappa) if kappa is not None else abs(lam),
         delta=float(delta) if delta is not None else abs(lam),
-        lambda_param=lam, closed_form_L=closed_form_L, l_affine_u=lam,
-        name=name, quad_coeffs=(a_f, a_d, b_f, b_d, V_f, V_d, lam),
+        name=name, quad_coeffs=QuadCoeffs(a_f, a_d, b_f, b_d, V_f, V_d, lam),
     )
 
 
@@ -227,28 +262,11 @@ def conjugate_model(model: HamiltonianModel) -> HamiltonianModel:
     def d_pp(x, p, u):
         return model.d_pp(x, -p, -u)
 
-    cf = None
-    if model.closed_form_L is not None:
-        base_L = model.closed_form_L
-
-        def cf(x, v, u):
-            L, p_star = base_L(x, -v, -u)
-            return L, -np.asarray(p_star)
-
-    aff = None if model.l_affine_u is None else -model.l_affine_u
-    qc = None
-    if model.quad_coeffs is not None:
-        a_f, a_d, b_f, b_d, V_f, V_d, lam = model.quad_coeffs
-
-        def neg(fn):
-            return lambda x: -fn(x)
-
-        qc = (a_f, a_d, neg(b_f), neg(b_d), V_f, V_d, -lam)
+    q = model.quad_coeffs
     return HamiltonianModel(
         eval_H=eval_H, d_p=d_p, d_x=d_x, d_u=d_u, d_pp=d_pp,
-        kappa=model.kappa, delta=model.delta, lambda_param=-model.lambda_param,
-        closed_form_L=cf, l_affine_u=aff, name=f"conjugate({model.name})",
-        quad_coeffs=qc,
+        kappa=model.kappa, delta=model.delta, name=f"conjugate({model.name})",
+        quad_coeffs=None if q is None else q.conjugate(),
     )
 
 
@@ -264,22 +282,12 @@ def freeze_classical(model: HamiltonianModel) -> HamiltonianModel:
     def d_u(x, p, u):
         return 0.0 * (np.asarray(x, dtype=float) + p + u)
 
-    cf = None
-    if model.closed_form_L is not None:
-        base_L = model.closed_form_L
-
-        def cf(x, v, u):
-            return base_L(x, v, 0.0 * u)
-
-    qc = None
-    if model.quad_coeffs is not None:
-        qc = model.quad_coeffs[:6] + (0.0,)
+    q = model.quad_coeffs
     return HamiltonianModel(
         eval_H=at0(model.eval_H), d_p=at0(model.d_p), d_x=at0(model.d_x),
-        d_u=d_u, d_pp=at0(model.d_pp),
-        kappa=0.0, delta=0.0, lambda_param=0.0,
-        closed_form_L=cf, l_affine_u=0.0 if model.l_affine_u is not None else None,
-        name=f"classical({model.name})", quad_coeffs=qc,
+        d_u=d_u, d_pp=at0(model.d_pp), kappa=0.0, delta=0.0,
+        name=f"classical({model.name})",
+        quad_coeffs=None if q is None else q._replace(lam=0.0),
     )
 
 
@@ -290,24 +298,12 @@ def shift_hamiltonian(model: HamiltonianModel, c: float) -> HamiltonianModel:
     def eval_H(x, p, u):
         return model.eval_H(x, p, u) - c
 
-    cf = None
-    if model.closed_form_L is not None:
-        base_L = model.closed_form_L
-
-        def cf(x, v, u):
-            L, p_star = base_L(x, v, u)
-            return L + c, p_star
-
-    qc = None
-    if model.quad_coeffs is not None:
-        a_f, a_d, b_f, b_d, V_f, V_d, lam = model.quad_coeffs
-        qc = (a_f, a_d, b_f, b_d, lambda x: V_f(x) - c, V_d, lam)
+    q = model.quad_coeffs
     return HamiltonianModel(
         eval_H=eval_H, d_p=model.d_p, d_x=model.d_x, d_u=model.d_u,
         d_pp=model.d_pp, kappa=model.kappa, delta=model.delta,
-        lambda_param=model.lambda_param, closed_form_L=cf,
-        l_affine_u=model.l_affine_u, name=f"{model.name} - {c:g}",
-        quad_coeffs=qc,
+        name=f"{model.name} - {c:g}",
+        quad_coeffs=None if q is None else q.shifted(c),
     )
 
 
@@ -356,13 +352,13 @@ def solve_p_star_batch(model, x, v, u, p_max=10.0, tol=1e-12, max_iter=60):
 def lagrangian(model, x, v, u, p_max=10.0):
     """Vectorized Legendre transform value L(x, v, u) = v p* - H(x, p*, u).
 
-    Uses the closed form when the model carries one; otherwise the clipped
+    Uses the closed form of a quadratic-family record when the model
+    carries one; otherwise the clipped
     numeric momentum solve (a lower bound if the true maximizer escapes
     the window, which only happens at extreme velocities).
     """
-    if model.closed_form_L is not None:
-        L, _ = model.closed_form_L(x, v, u)
-        return L
+    if model.quad_coeffs is not None:
+        return model.quad_coeffs.lagrangian(x, v, u)[0]
     p = solve_p_star_batch(model, x, v, u, p_max=p_max)
     return v * p - model.eval_H(x, p, u)
 

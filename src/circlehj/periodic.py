@@ -153,6 +153,27 @@ class PeriodicSolution:
         return np.stack([s.values for s in self.slices])
 
 
+def _dilate(mask, radius):
+    """Periodic mask grown by radius nodes on each side."""
+    out = mask.copy()
+    for r in range(1, radius + 1):
+        out |= np.roll(mask, r) | np.roll(mask, -r)
+    return out
+
+
+def _oscillation(slices):
+    """Per-node range (max - min over the slices) of the values."""
+    mat = np.stack([s.values for s in slices])
+    return mat.max(axis=0) - mat.min(axis=0)
+
+
+def _touching_band(phi: Field, u_plus):
+    """(phi - u+, band 3h*Lip(phi)) within which a gap counts as touching."""
+    g = phi.grid
+    lip = float(np.max(np.abs(np.diff(np.append(phi.values, phi.values[0]))))) / g.h
+    return phi.values - u_plus, max(3.0 * g.h * lip, 1e-12)
+
+
 def _upwind_pde_residual(model, slices, times, smooth_slope_factor=5.0):
     """Upwind residual of the evolution equation at smooth nodes.
 
@@ -178,9 +199,7 @@ def _upwind_pde_residual(model, slices, times, smooth_slope_factor=5.0):
         # during [t_{k-1}, t_{k+1}]: dilate the kink set by the distance a
         # characteristic covers in that window
         radius = int(math.ceil(dt2 * float(np.max(np.abs(speed))) / h)) + 1
-        bad = kinky[k - 1] | kinky[k] | kinky[k + 1]
-        for r in range(1, radius + 1):
-            bad = bad | np.roll(kinky[k], r) | np.roll(kinky[k], -r)
+        bad = kinky[k - 1] | _dilate(kinky[k], radius) | kinky[k + 1]
         slope = np.where(speed > 0.0, lefts[k], rights[k])
         resid = w_t + np.asarray(model.eval_H(xs, slope, w), dtype=float)
         smooth = ~bad
@@ -229,10 +248,9 @@ def pinned_periodic_limit(model: HamiltonianModel, orbit: OrbitResult, x0=0.0,
         model, start, orbit.period, dt, n_max, tol, search)
     slices, times = _record_period(model, state, orbit.period, dt, m_slices,
                                    search)
-    mat = np.stack([s.values for s in slices])
-    amplitude = float(np.max(mat.max(axis=0) - mat.min(axis=0)))
-    node = g.nearest(x0)
-    amp_x0 = float(mat[:, node].max() - mat[:, node].min())
+    osc = _oscillation(slices)
+    amplitude = float(np.max(osc))
+    amp_x0 = float(osc[g.nearest(x0)])
     floor = amplitude_floor_factor * spec.epsilon
     if amp_x0 < floor:
         raise NotNontrivial(
@@ -266,10 +284,7 @@ def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
     """
     g = phi.grid
     dt = g.h if dt is None else dt
-    u_plus = orbit.u0_at(g.nodes)
-    gap = phi.values - u_plus
-    lip = float(np.max(np.abs(np.diff(np.append(phi.values, phi.values[0]))))) / g.h
-    touch_tol = max(3.0 * g.h * lip, 1e-12)
+    gap, touch_tol = _touching_band(phi, orbit.u0_at(g.nodes))
     shift = -float(np.min(gap))
     if not auto_shift and abs(shift) > touch_tol:
         raise TouchingViolated(
@@ -283,16 +298,11 @@ def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
         model, shifted, orbit.period, dt, n_max, tol, search)
     slices, times = _record_period(model, state, orbit.period, dt, m_slices,
                                    search)
-    mat = np.stack([s.values for s in slices])
-    amplitude = float(np.max(mat.max(axis=0) - mat.min(axis=0)))
+    amplitude = float(np.max(_oscillation(slices)))
 
     # localization: evolving only the data near the touching set must
     # reproduce the full evolution at late times
-    touching = gap <= touch_tol
-    radius = localization_radius_cells
-    dilated = touching.copy()
-    for r in range(1, radius + 1):
-        dilated |= np.roll(touching, r) | np.roll(touching, -r)
+    dilated = _dilate(gap <= touch_tol, localization_radius_cells)
     pinned_vals = np.where(dilated, shifted.values, u_cap)
     pinned = Field(g, pinned_vals, cap_mask=~dilated, cap_value=u_cap)
     full_tr = evolve(model, shifted, localization_t, dt, search=search,
@@ -331,11 +341,9 @@ def min_shift_combine(w: PeriodicSolution, n: int) -> PeriodicSolution:
         stack = np.stack([mat[k + r * stride] for r in range(n)])
         new_slices.append(Field(grid, stack.min(axis=0)))
     new_times = w.times[: stride + 1].copy()
-    new_mat = np.stack([s.values for s in new_slices])
-    amplitude = float(np.max(new_mat.max(axis=0) - new_mat.min(axis=0)))
     return PeriodicSolution(
         slices=new_slices, times=new_times, period=w.period / n,
-        amplitude=amplitude,
+        amplitude=float(np.max(_oscillation(new_slices))),
         period_residual=sup_dist(new_slices[-1], new_slices[0]),
         pde_residual=np.nan, x0=w.x0, n_periods=w.n_periods,
         converge_history=list(w.converge_history),
@@ -421,11 +429,8 @@ def classify_trichotomy(model: HamiltonianModel, phi: Field, u_plus: Field,
     +-escape_level (D3/D2) or stays bounded over the budget (D1).  A
     failed confirmation is reported on the flag, not raised.
     """
-    g = phi.grid
-    dt = g.h if dt is None else dt
-    gap = phi.values - u_plus.values
-    lip = float(np.max(np.abs(np.diff(np.append(phi.values, phi.values[0]))))) / g.h
-    touch_tol = max(3.0 * g.h * lip, 1e-12)
+    dt = phi.grid.h if dt is None else dt
+    gap, touch_tol = _touching_band(phi, u_plus.values)
     gmin, gmax = float(np.min(gap)), float(np.max(gap))
     if gmin < -touch_tol:
         klass = "D2_minus_infinity"

@@ -46,17 +46,10 @@ def field_rows(field):
     return list(zip(field.grid.nodes.tolist(), field.values.tolist()))
 
 
-def trace_rows(trace):
+def time_rows(times, fields):
+    """Rows (t, x, value) of fields sampled at the matching times."""
     rows = []
-    for t, snap in zip(trace.times, trace.snapshots):
-        for x, v in zip(snap.grid.nodes.tolist(), snap.values.tolist()):
-            rows.append((float(t), x, v))
-    return rows
-
-
-def slices_rows(solution):
-    rows = []
-    for t, snap in zip(solution.times, solution.slices):
+    for t, snap in zip(times, fields):
         for x, v in zip(snap.grid.nodes.tolist(), snap.values.tolist()):
             rows.append((float(t), x, v))
     return rows

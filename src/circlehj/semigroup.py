@@ -7,8 +7,9 @@ One step of the backward semigroup computes, at every node,
 with periodic monotone linear interpolation I and the u-argument of the
 Lagrangian resolved implicitly: first the foot value, then the arrival
 value, iterated to a fixed point (a contraction as long as
-kappa * dt < 1/2).  For models whose Lagrangian is affine in u the fixed
-point collapses to a closed form, which the stepper exploits.
+kappa * dt < 1/2).  For the quadratic family, whose Lagrangian is affine
+in u, the fixed point collapses to a closed form, which the stepper
+exploits.
 
 The velocity search scans a uniform sample set; ties in the discrete
 argmin resolve to the smallest |v| so repeated runs are bit-identical.
@@ -171,7 +172,7 @@ class EvolutionTrace:
 
 
 class _StepWorkspace:
-    """Per-(model, grid, dt) precomputation reused across steps."""
+    """Per-(model, grid, dt, search) precomputation reused across steps."""
 
     def __init__(self, model: HamiltonianModel, grid: Grid, dt: float,
                  search: SearchParams):
@@ -192,34 +193,24 @@ class _StepWorkspace:
         self.idx0 = (rows + m.astype(np.int64)[None, :]) % n
         self.idx1 = (self.idx0 + 1) % n
         self._xn = np.arange(n, dtype=float)       # node index as float
-        self.affine = model.l_affine_u
-        if self.affine is not None:
+        # for the quadratic family, L = L(x, v, 0) + lam u: the value fixed
+        # point collapses, and the node columns (ab, n a, dt/(2a), dt V) give
+        # the exact bracket minimum: dt*L(x,v,0) = (v - ab)^2 dt/(2a) - dt V
+        q = model.quad_coeffs
+        self.affine = None if q is None else q.lam
+        self.dtL0 = None
+        self._quad_nodes = None
+        if q is not None:
             X = self.x[:, None]
             Vm = v[None, :]
-            self.dtL0 = self.dt * self._L_at_zero(X, Vm)
-        else:
-            self.dtL0 = None
-        # node columns (ab, n a, dt/(2a), dt V) of the quadratic family for
-        # the exact bracket minimum: dt*L(x,v,0) = (v - ab)^2 dt/(2a) - dt V
-        self._quad_nodes = None
-        if model.quad_coeffs is not None and self.affine is not None:
-            a_f, _, b_f, _, V_f, _, _ = model.quad_coeffs
-            X = self.x[:, None]
-            av = np.broadcast_to(np.asarray(a_f(X), float), X.shape)
-            bv = np.broadcast_to(np.asarray(b_f(X), float), X.shape)
-            Vv = np.broadcast_to(np.asarray(V_f(X), float), X.shape)
+            self.dtL0 = self.dt * q.lagrangian(X, Vm, 0.0 * Vm)[0]
+            av, bv, Vv = (np.broadcast_to(np.asarray(f(X), float), X.shape)
+                          for f in (q.a, q.b, q.V))
             self._quad_nodes = (av * bv, n * av, self.dt / (2.0 * av),
                                 self.dt * Vv)
 
-    def _L_at_zero(self, x, v):
-        if self.model.closed_form_L is not None:
-            return np.asarray(self.model.closed_form_L(x, v, 0.0 * v)[0], dtype=float)
-        p = solve_p_star_batch(self.model, x, v, 0.0 * v, p_max=self.search.p_max)
-        return v * p - self.model.eval_H(x, p, 0.0 * v)
-
     def _L_at(self, x, v, u):
-        if self.model.closed_form_L is not None:
-            return np.asarray(self.model.closed_form_L(x, v, u)[0], dtype=float)
+        """Numeric Lagrangian of a model without a coefficient record."""
         p = solve_p_star_batch(self.model, x, v, u, p_max=self.search.p_max)
         return v * p - self.model.eval_H(x, p, u)
 
@@ -273,12 +264,10 @@ class _StepWorkspace:
         else:
             x, uu = self.x[:, None], u[:, None]
             p = n * slope
-            vertex = self.model.d_p(x, p, uu)
-            if self.model.closed_form_L is None:
-                # the numeric L clamps p* to [-p_max, p_max] and is linear
-                # in v beyond; a steeper cell is monotone, minimal at an end
-                vertex = np.where(np.abs(p) <= self.search.p_max, vertex,
-                                  np.copysign(np.inf, p))
+            # the numeric L clamps p* to [-p_max, p_max] and is linear in v
+            # beyond; a steeper cell is monotone, minimal at an end
+            vertex = np.where(np.abs(p) <= self.search.p_max,
+                              self.model.d_p(x, p, uu), np.copysign(np.inf, p))
             vv = np.clip(vertex, v_lo, v_hi)
             total = (phi_k + (off - vv * dtn) * slope
                      + self.dt * self._L_at(x, vv, uu))
@@ -298,9 +287,19 @@ def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
     the value fixed point stalls (impossible while kappa*dt < 1/2) and
     ValueError when dt breaks that contraction bound.
     """
-    ws = workspace or _StepWorkspace(model, phi.grid, dt, search)
+    ws = _workspace_for(model, phi.grid, dt, search, workspace)
     raw, _ = _step_values(ws, phi.values)
     return _recap(phi, raw)
+
+
+def _workspace_for(model, grid, dt, search, workspace):
+    """``workspace`` if it was built for this model object, grid, dt and
+    search window; otherwise a new workspace for them."""
+    ws = workspace
+    if (ws is not None and ws.model is model and ws.grid == grid
+            and ws.dt == dt and ws.search == search):
+        return ws
+    return _StepWorkspace(model, grid, dt, search)
 
 
 def _recap(phi: Field, raw: np.ndarray) -> Field:
@@ -400,9 +399,7 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
             "feet span several cells per step (accuracy, not stability)",
             AccuracyWarning, stacklevel=2)
     stride = steps if snapshot_every is None else max(1, round(snapshot_every / dt_eff))
-    ws = workspace
-    if ws is None or ws.dt != dt_eff or ws.grid is not grid or ws.model is not model:
-        ws = _StepWorkspace(model, grid, dt_eff, search)
+    ws = _workspace_for(model, grid, dt_eff, search, workspace)
     times = [0.0]
     snaps = [phi.copy()]
     current = phi

@@ -6,7 +6,8 @@ import pytest
 from circlehj import flow
 from circlehj.errors import BlowUp, TurningPoint
 from circlehj.golden import CDV_ORBIT
-from circlehj.model import make_quadratic_model
+from circlehj.model import (conjugate_model, make_quadratic_model,
+                            shift_hamiltonian)
 
 
 def test_integrate_contact_cd_winding(cd_model):
@@ -123,13 +124,16 @@ def test_turning_point_on_rest_point():
 
 
 def test_graph_field_tables_match_callbacks():
+    # the conjugate and the shifted model carry a transformed record: its
+    # tables must still match the transformed callables
     model = make_quadratic_model("1+0.3*sin(2*pi*x)", "1+0.2*cos(2*pi*x)",
                                  "0.1*cos(4*pi*x)", 0.5)
-    tables = flow.integrate_reduced(model, 0.1, 0.2, n=256)
-    callbacks = flow.integrate_reduced(replace(model, quad_coeffs=None),
-                                       0.1, 0.2, n=256)
-    for a, b in zip(tables, callbacks):
-        assert np.max(np.abs(a - b)) <= 1e-12
+    for m in (model, conjugate_model(model), shift_hamiltonian(model, 0.3)):
+        tables = flow.integrate_reduced(m, 0.1, 0.2, n=256)
+        callbacks = flow.integrate_reduced(replace(m, quad_coeffs=None),
+                                           0.1, 0.2, n=256)
+        for a, b in zip(tables, callbacks):
+            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_contact_flow_closes_on_shot(cdv_model, cdv_orbit):

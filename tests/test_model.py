@@ -9,7 +9,8 @@ from circlehj.model import (check_assumptions, conjugate_model,
                             constant_drift_model, cosine_potential_model,
                             derivative_consistency, estimate_critical_value,
                             freeze_classical, lagrangian, legendre_transform,
-                            make_quadratic_model, solve_p_star_batch)
+                            make_quadratic_model, shift_hamiltonian,
+                            solve_p_star_batch)
 
 
 def test_legendre_trivial_cd(cd_model):
@@ -29,7 +30,8 @@ def test_legendre_cdv_brute_force(cdv_model):
     assert brute == pytest.approx(0.125, abs=1e-8)
     L, _ = legendre_transform(cdv_model, x, v, u)
     assert L == pytest.approx(0.125, abs=1e-10)
-    assert cdv_model.closed_form_L(x, v, u)[0] == pytest.approx(0.125, abs=1e-12)
+    Lq, _ = cdv_model.quad_coeffs.lagrangian(x, v, u)
+    assert Lq == pytest.approx(0.125, abs=1e-12)
 
 
 def test_legendre_matches_closed_form(cd_model, cdv_model):
@@ -41,9 +43,33 @@ def test_legendre_matches_closed_form(cd_model, cdv_model):
             v = rng.uniform(-5.0, 5.0)
             u = rng.uniform(-2.0, 2.0)
             L, p = legendre_transform(model, x, v, u)
-            Lc, pc = model.closed_form_L(x, v, u)
+            Lc, pc = model.quad_coeffs.lagrangian(x, v, u)
             assert abs(L - Lc) <= 1e-10
             assert abs(p - pc) <= 1e-8
+
+
+@pytest.mark.parametrize("transform", [
+    lambda m: m, conjugate_model, freeze_classical,
+    lambda m: shift_hamiltonian(m, 0.3),
+    lambda m: conjugate_model(freeze_classical(m))],
+    ids=["identity", "conjugate", "classical", "shift", "conjugate-classical"])
+def test_record_lagrangian_through_transforms(cd_model, cdv_model, transform):
+    # each transform rewrites the callables and the coefficient record
+    # separately; the record's closed form must stay the Legendre
+    # transform of the transformed callables
+    varying = make_quadratic_model("1+0.3*sin(2*pi*x)", "1+0.2*cos(2*pi*x)",
+                                   "0.1*cos(4*pi*x)", 0.5)
+    rng = np.random.default_rng(7)
+    for model in (cd_model, cdv_model, varying):
+        moved = transform(model)
+        for _ in range(50):
+            x = rng.uniform(0.0, 1.0)
+            v = rng.uniform(-5.0, 5.0)
+            u = rng.uniform(-2.0, 2.0)
+            L, p = legendre_transform(moved, x, v, u)
+            Lq, pq = moved.quad_coeffs.lagrangian(x, v, u)
+            assert abs(L - Lq) <= 1e-10
+            assert abs(p - pq) <= 1e-8
 
 
 def test_fenchel_inequality(cdv_model):
@@ -147,8 +173,8 @@ def test_conjugate_model_identities(cdv_model):
     assert np.allclose(conj.d_u(x, p, u), -cdv_model.d_u(x, -p, -u))
     # increasing in u now
     assert np.all(np.asarray(conj.d_u(x, p, u)) >= cdv_model.delta - 1e-12)
-    L, ps = conj.closed_form_L(0.3, 0.7, 0.4)
-    L0, ps0 = cdv_model.closed_form_L(0.3, -0.7, -0.4)
+    L, ps = conj.quad_coeffs.lagrangian(0.3, 0.7, 0.4)
+    L0, ps0 = cdv_model.quad_coeffs.lagrangian(0.3, -0.7, -0.4)
     assert L == pytest.approx(L0) and ps == pytest.approx(-ps0)
 
 

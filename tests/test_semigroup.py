@@ -52,7 +52,7 @@ def test_step_keeps_stationary_state(cdv_model, cdv_orbit):
 
 
 def test_generic_inner_iteration_matches_affine(cd_model, grid256):
-    generic = dataclasses.replace(cd_model, l_affine_u=None, quad_coeffs=None)
+    generic = dataclasses.replace(cd_model, quad_coeffs=None)
     rng = np.random.default_rng(0)
     phi = random_smooth_field(grid256, rng)
     fast = sg.lax_oleinik_step(cd_model, phi, 1e-3)
@@ -77,7 +77,8 @@ def test_step_reaches_bracket_minimum(cd_model, n, dt):
         x = g.nodes[rows, None]
         v = np.linspace(lo[rows], hi[rows], 4001, axis=1)
         dense_min[rows] = np.min(sg._interp_periodic(phi, x - v * dt)
-                                 + dt * cd_model.closed_form_L(x, v, 0.0 * v)[0],
+                                 + dt * cd_model.quad_coeffs.lagrangian(
+                                     x, v, 0.0 * v)[0],
                                  axis=1)
     assert np.max(w.values * (1.0 - LAM * dt) - dense_min) <= 1e-12
 
@@ -88,8 +89,7 @@ def test_window_hits_counted(cd_model, grid256):
     drift12 = constant_drift_model(12.0, LAM)
     zero = sg.Field.constant(grid256, 0.0)
     steps = 4
-    for model in (drift12, dataclasses.replace(drift12, l_affine_u=None,
-                                               quad_coeffs=None)):
+    for model in (drift12, dataclasses.replace(drift12, quad_coeffs=None)):
         trace = sg.evolve(model, zero, steps * grid256.h, grid256.h)
         assert trace.window_hits == steps * grid256.n
     assert sg.evolve(cd_model, zero, steps * grid256.h,
@@ -98,16 +98,72 @@ def test_window_hits_counted(cd_model, grid256):
 
 def test_generic_paths_match_on_rough_data(cd_model):
     # at a reach of 82 cells the bracket objective of rough data is not
-    # unimodal; the generic step, with and without the closed-form L,
-    # must find the same minimum as the closed-form step
+    # unimodal; the generic step must find the same minimum as the
+    # closed-form step
     g = sg.Grid(1024)
     phi = sg.Field(g, np.random.default_rng(0).uniform(-0.1, 0.1, g.n))
     exact = sg.lax_oleinik_step(cd_model, phi, 8e-3).values
-    for dropped in (dict(), dict(closed_form_L=None)):
-        generic = dataclasses.replace(cd_model, l_affine_u=None,
-                                      quad_coeffs=None, **dropped)
-        slow = sg.lax_oleinik_step(generic, phi, 8e-3).values
-        assert np.max(np.abs(slow - exact)) <= 1e-10
+    generic = dataclasses.replace(cd_model, quad_coeffs=None)
+    slow = sg.lax_oleinik_step(generic, phi, 8e-3).values
+    assert np.max(np.abs(slow - exact)) <= 1e-10
+
+
+def test_replace_without_record_takes_generic_path(cd_model, grid256,
+                                                   monkeypatch):
+    # the former hooks closed_form_L and l_affine_u are accepted as None
+    # only; the model left without its record steps on the generic path
+    generic = dataclasses.replace(cd_model, closed_form_L=None,
+                                  l_affine_u=None, quad_coeffs=None)
+    calls = []
+    step_generic = sg._step_generic
+
+    def counted(*args):
+        calls.append(1)
+        return step_generic(*args)
+
+    monkeypatch.setattr(sg, "_step_generic", counted)
+    phi = sg.Field.constant(grid256, 0.1)
+    sg.lax_oleinik_step(generic, phi, 1e-3)
+    assert len(calls) == 1
+    sg.lax_oleinik_step(cd_model, phi, 1e-3)
+    assert len(calls) == 1
+    for hook in (dict(closed_form_L=cd_model.quad_coeffs.lagrangian),
+                 dict(l_affine_u=LAM)):
+        with pytest.raises(TypeError):
+            dataclasses.replace(cd_model, **hook)
+
+
+def test_workspace_reused_only_when_it_matches(monkeypatch):
+    # a workspace built for another search window or dt must not be used:
+    # on the zero datum the narrow window (drift 3 > v_max = 2) puts every
+    # scan minimum on the window end, the default one puts none there
+    model = constant_drift_model(3.0, LAM)
+    g = sg.Grid(256)
+    dt = 0.5 * g.h
+    narrow = sg.SearchParams(v_max=2.0)
+    phi = sg.Field.constant(g, 0.0)
+    wide = sg._StepWorkspace(model, g, dt, sg.DEFAULT_SEARCH)
+    ref = sg.evolve(model, phi, 26 * dt, dt, search=narrow)
+    got = sg.evolve(model, phi, 26 * dt, dt, search=narrow, workspace=wide)
+    assert got.window_hits == ref.window_hits == 26 * g.n
+    assert np.array_equal(got.final.values, ref.final.values)
+    step = sg.lax_oleinik_step(model, phi, dt, search=narrow).values
+    for ws in (wide, sg._StepWorkspace(model, g, 2.0 * g.h, narrow)):
+        got = sg.lax_oleinik_step(model, phi, dt, search=narrow, workspace=ws)
+        assert np.array_equal(got.values, step)
+    # a matching workspace is reused: one per reversibility solve
+    built = []
+    workspace = sg._StepWorkspace
+
+    def counted(*args):
+        built.append(1)
+        return workspace(*args)
+
+    monkeypatch.setattr(sg, "_StepWorkspace", counted)
+    with pytest.raises(BracketFail):
+        sg.solve_reversibility(model, 0.0, 0.0, 1.0, 1e5, grid=g, dt=4e-3,
+                               bracket=(-1.0, 1.0))
+    assert len(built) == 1
 
 
 def test_evolve_constant_exact(cd_model):
