@@ -96,7 +96,8 @@ _POSITIVE = {
     ("trichotomy", "T_budget"), ("weakkam", "tol"), ("weakkam", "T_max"),
     ("bifurcate", "grid_n"), ("bifurcate", "tol"), ("bifurcate", "fp_tol"),
     ("bifurcate", "n_max"), ("action", "t"), ("action", "dt"),
-    ("subsolution", "n_x"), ("subsolution", "n_t"),
+    ("subsolution", "n_x"), ("subsolution", "n_t"), ("periodic", "dt"),
+    ("trichotomy", "dt"), ("weakkam", "dt"),
 }
 
 

@@ -29,13 +29,12 @@ class SearchParams:
     """Compact search window standing in for the noncompact phase space.
 
     Extremizers are sought inside |v| <= v_max, |p| <= p_max; the
-    structural checks sample values in |u| <= u_max.  The remaining
-    fields tune the velocity search of the evolution.
+    structural checks sample values in |u| <= u_max.  inner_tol and
+    inner_max_iter bound the value fixed point of the evolution step.
     """
 
     v_max: float = 10.0
     p_max: float = 10.0
-    n_velocities: int = 129
     inner_tol: float = 1e-12
     inner_max_iter: int = 100
     u_max: float = 50.0

@@ -5,20 +5,19 @@ One step of the backward semigroup computes, at every node,
     w(x) = min_v [ I(phi)(x - v dt) + dt * L(x, v, u_arg) ]
 
 with periodic monotone linear interpolation I and the u-argument of the
-Lagrangian resolved implicitly: first the foot value, then the arrival
-value, iterated to a fixed point (a contraction as long as
-kappa * dt < 1/2).  For the quadratic family, whose Lagrangian is affine
-in u, the fixed point collapses to a closed form, which the stepper
-exploits.
+Lagrangian resolved implicitly: the arrival value, iterated to a fixed
+point from the datum (a contraction as long as kappa * dt < 1/2).  For
+the quadratic family, whose Lagrangian is affine in u, the fixed point
+collapses to a closed form, which the stepper exploits.
 
-The velocity search scans a uniform sample set; ties in the discrete
-argmin resolve to the smallest |v| so repeated runs are bit-identical.
-It then minimizes exactly over the winning bracket: on each grid cell
-the foot crosses, the objective is convex in v, so its minimum is the
-stationary point v = H_p(x, p, u), p the cell's slope of the datum,
-clipped to the cell and the bracket (the exact semi-Lagrangian per-cell
-minimum).  Scan minima at the window ends +-v_max are counted as window
-hits on the trace.
+The velocity search takes the exact minimum over the whole window
+|v| <= v_max: on each grid cell the foot crosses, the objective is convex
+in v, so its minimum is the stationary point v = H_p(x, p, u), p the
+cell's slope of the datum, clipped to the cell and the window (the exact
+semi-Lagrangian per-cell minimum).  The minimizing cell is nondecreasing
+in x, so the cells are searched by monotone divide and conquer: a fixed
+number of cells per node, whatever the reach.  Minima at the window ends
++-v_max are counted as window hits on the trace.
 
 The forward semigroup is realized by conjugation: negate the datum,
 evolve under the model H(x,-p,-u), negate back.
@@ -147,7 +146,7 @@ class EvolutionTrace:
     model_name: str
     dt: float
     diverged: bool = False
-    # node-steps whose velocity-scan minimum sat on +-v_max at an uncapped
+    # node-steps whose minimizing velocity was +-v_max at an uncapped
     # output node: the extremizer may lie outside the search window
     window_hits: int = 0
 
@@ -172,7 +171,12 @@ class EvolutionTrace:
 
 
 class _StepWorkspace:
-    """Per-(model, grid, dt, search) precomputation reused across steps."""
+    """Per-(model, grid, dt, search) precomputation reused across steps.
+
+    Column j of the velocity window is the cell k = i + offset[j] that
+    holds the foot of node i; the velocities [v_lo[j], v_hi[j]] keep the
+    foot in that cell.
+    """
 
     def __init__(self, model: HamiltonianModel, grid: Grid, dt: float,
                  search: SearchParams):
@@ -182,29 +186,29 @@ class _StepWorkspace:
         self.search = search
         n = grid.n
         self.x = grid.nodes
-        v = np.linspace(-search.v_max, search.v_max, search.n_velocities)
-        self.v = v
-        self.abs_v = np.abs(v)
-        # gather tables for the uniform-shift foot interpolation
-        sigma = v * self.dt * n                    # foot shift in cells
-        m = np.floor(-sigma)
-        self.frac = ((-sigma) - m)[None, :]        # in [0, 1), one per velocity
-        rows = np.arange(n)[:, None]
-        self.idx0 = (rows + m.astype(np.int64)[None, :]) % n
-        self.idx1 = (self.idx0 + 1) % n
-        self._xn = np.arange(n, dtype=float)       # node index as float
+        dtn = self.dt * n
+        reach = search.v_max * dtn            # window half-width in cells
+        offset = np.arange(math.floor(-reach), math.floor(reach) + 1)
+        off = -offset.astype(float)           # foot at v = 0, cells past k
+        v_lo = np.maximum(-search.v_max, (off - 1.0) / dtn)
+        v_hi = np.minimum(search.v_max, off / dtn)
+        # by round-off an end cell may hold no velocity of the window
+        keep = v_lo <= v_hi
+        self.offset, self.off = offset[keep], off[keep]
+        self.v_lo, self.v_hi = v_lo[keep], v_hi[keep]
+        # node stride of the coarsest search level: the largest power of
+        # two <= width/16, so that level costs about 16 cells per node
+        wide = (self.offset.size // 16).bit_length() - 1
+        self.stride = min(n, 1 << max(0, wide))
         # for the quadratic family, L = L(x, v, 0) + lam u: the value fixed
-        # point collapses, and the node columns (ab, n a, dt/(2a), dt V) give
-        # the exact bracket minimum: dt*L(x,v,0) = (v - ab)^2 dt/(2a) - dt V
+        # point collapses, and the node tables (ab, n a, dt/(2a), dt V) give
+        # the cell minimum: dt*L(x,v,0) = (v - ab)^2 dt/(2a) - dt V
         q = model.quad_coeffs
         self.affine = None if q is None else q.lam
-        self.dtL0 = None
         self._quad_nodes = None
         if q is not None:
-            X = self.x[:, None]
-            Vm = v[None, :]
-            self.dtL0 = self.dt * q.lagrangian(X, Vm, 0.0 * Vm)[0]
-            av, bv, Vv = (np.broadcast_to(np.asarray(f(X), float), X.shape)
+            av, bv, Vv = (np.broadcast_to(np.asarray(f(self.x), float),
+                                          self.x.shape)
                           for f in (q.a, q.b, q.V))
             self._quad_nodes = (av * bv, n * av, self.dt / (2.0 * av),
                                 self.dt * Vv)
@@ -214,55 +218,32 @@ class _StepWorkspace:
         p = solve_p_star_batch(self.model, x, v, u, p_max=self.search.p_max)
         return v * p - self.model.eval_H(x, p, u)
 
-    def foot_matrix(self, values):
-        """Interpolated field at x_i - v_j dt for all nodes and velocities."""
-        return values[self.idx0] * (1.0 - self.frac) + values[self.idx1] * self.frac
+    def _cell_minimum(self, values, u, i, j):
+        """Exact min over the velocities of column j of
+        I(values)(x_i - v dt) + dt L(x_i, v, u_i), for broadcast i and j.
 
-    def _tiebreak_argmin(self, total):
-        """Row argmin preferring the smallest |v| among exact ties."""
-        row_min = np.min(total, axis=1)
-        cand = np.where(total <= row_min[:, None], self.abs_v[None, :], np.inf)
-        return np.argmin(cand, axis=1), row_min
-
-    def _bracket(self, jstar):
-        """Velocities of the samples next to each scan argmin, and whether
-        the argmin is an end sample of the window."""
-        last = self.v.size - 1
-        lo = self.v[np.clip(jstar - 1, 0, last)]
-        hi = self.v[np.clip(jstar + 1, 0, last)]
-        return lo, hi, (jstar == 0) | (jstar == last)
-
-    def _cell_minimum(self, values, lo, hi, u):
-        """Exact min over v in [lo, hi] of I(values)(x - v dt) + dt L(x, v, u).
-
-        On each grid cell k that the foot x - v dt crosses, the P1
-        interpolant is affine in v with slope -dt n (phi_{k+1} - phi_k),
-        and L is convex in v, so the objective is convex on the cell.  Its
-        stationary point is v = H_p(x, p, u) with p = n (phi_{k+1} -
-        phi_k), where L_v = p; clipped to the cell and the bracket it is
-        the minimum on the cell.  For the quadratic family the node table
-        gives the vertex ab + n a (phi_{k+1} - phi_k) and the parabola.
-        u is held fixed per node.  Returns the minimum and its velocity.
+        On the cell k = i + offset[j], the P1 interpolant is affine in v
+        with slope -dt n (phi_{k+1} - phi_k), and L is convex in v, so the
+        objective is convex on the cell.  Its stationary point is
+        v = H_p(x, p, u) with p = n (phi_{k+1} - phi_k), where L_v = p;
+        clipped to the cell and the window it is the minimum on the cell.
+        For the quadratic family the node table gives the vertex
+        ab + n a (phi_{k+1} - phi_k) and the parabola, and u is unused.
+        Returns the minimum and its velocity.
         """
         n = self.grid.n
         dtn = self.dt * n
-        xn = self._xn
-        first = np.floor(xn - hi * dtn)  # cell of the foot at v = hi
-        last = np.floor(xn - lo * dtn)   # cell of the foot at v = lo
-        k = first[:, None] + np.arange(int(np.max(last - first)) + 1)
-        k0 = k.astype(np.int64) % n
-        phi_k = values[k0]
-        slope = values[(k0 + 1) % n] - phi_k
-        off = xn[:, None] - k            # foot at v = 0, in cells past k
-        v_lo = np.maximum(lo[:, None], (off - 1.0) / dtn)
-        v_hi = np.minimum(hi[:, None], off / dtn)
+        k = (i + self.offset[j]) % n
+        phi_k = values[k]
+        slope = values[(k + 1) % n] - phi_k
+        off, v_lo, v_hi = self.off[j], self.v_lo[j], self.v_hi[j]
         if self._quad_nodes is not None:
-            ab, na, inv2a_dt, dtV = self._quad_nodes
+            ab, na, inv2a_dt, dtV = (t[i] for t in self._quad_nodes)
             vv = np.clip(ab + na * slope, v_lo, v_hi)
             d = vv - ab
             total = phi_k + (off - vv * dtn) * slope + d * d * inv2a_dt - dtV
         else:
-            x, uu = self.x[:, None], u[:, None]
+            x, uu = self.x[i], u[i]
             p = n * slope
             # the numeric L clamps p* to [-p_max, p_max] and is linear in v
             # beyond; a steeper cell is monotone, minimal at an end
@@ -271,10 +252,50 @@ class _StepWorkspace:
             vv = np.clip(vertex, v_lo, v_hi)
             total = (phi_k + (off - vv * dtn) * slope
                      + self.dt * self._L_at(x, vv, uu))
-        total = np.where(v_lo <= v_hi, total, np.inf)
-        j = np.argmin(total, axis=1)[:, None]
-        return (np.take_along_axis(total, j, axis=1)[:, 0],
-                np.take_along_axis(vv, j, axis=1)[:, 0])
+        return total, vv
+
+    def window_minimum(self, values, u):
+        """Exact min over |v| <= v_max of I(values)(x - v dt) + dt L(x, v, u)
+        at every node, and its velocity (u held fixed per node).
+
+        The minimizing foot cell is nondecreasing in x, so the row minima
+        are found by monotone divide and conquer (Aggarwal et al., 1987).
+        Every stride-th node scans the whole window.  Each finer level
+        halves the stride and scans only the cells between the argmin
+        cells of the node's two neighbours, plus one cell on each side: a
+        minimum on a grid node is shared by two cells whose values differ
+        by round-off.  Ties go to the leftmost cell.
+        """
+        n, s, width = self.grid.n, self.stride, self.offset.size
+        best, v_star = np.empty(n), np.empty(n)
+        # argmin cell per node, unwrapped; entry n is node 0 one turn on
+        cell = np.empty(n + 1, dtype=np.int64)
+        rows = np.arange(0, n, s)
+        total, vv = self._cell_minimum(values, u, rows[:, None],
+                                       np.arange(width))
+        j = np.argmin(total, axis=1)
+        at = np.arange(rows.size)
+        best[rows], v_star[rows] = total[at, j], vv[at, j]
+        cell[rows] = rows + self.offset[j]
+        cell[n] = cell[0] + n
+        while s > 1:
+            s //= 2
+            rows = np.arange(s, n, 2 * s)
+            left, right = cell[rows - s], cell[rows + s]
+            first = rows + self.offset[0]
+            lo = np.maximum(np.minimum(left, right) - 1, first) - first
+            hi = np.minimum(np.maximum(left, right) + 1 - first, width - 1)
+            counts = hi - lo + 1
+            starts = np.cumsum(counts) - counts
+            j = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
+            total, vv = self._cell_minimum(values, u,
+                                           np.repeat(rows, counts), j)
+            low = np.minimum.reduceat(total, starts)
+            hits = np.flatnonzero(total == np.repeat(low, counts))
+            at = hits[np.searchsorted(hits, starts)]
+            best[rows], v_star[rows] = low, vv[at]
+            cell[rows] = rows + self.offset[j[at]]
+        return best, v_star
 
 
 def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
@@ -312,67 +333,37 @@ def _recap(phi: Field, raw: np.ndarray) -> Field:
 
 
 def _step_values(ws: _StepWorkspace, values: np.ndarray):
-    """Values after one step, and a mask of nodes whose scan argmin is
-    an end sample of the velocity window."""
+    """Values after one step, and a mask of nodes whose minimizing
+    velocity is an end of the velocity window."""
     if ws.model.kappa * ws.dt >= 0.5:
         raise ValueError(
             f"kappa*dt = {ws.model.kappa * ws.dt:g} >= 0.5 breaks the inner "
             "contraction; reduce dt"
         )
-    cols = ws.foot_matrix(values)
-    if ws.affine is not None:
-        return _step_affine(ws, values, cols)
-    return _step_generic(ws, values, cols)
+    step = _step_affine if ws.affine is not None else _step_generic
+    w, v_star = step(ws, values)
+    return w, np.abs(v_star) == ws.search.v_max
 
 
-def _step_affine(ws: _StepWorkspace, values, cols):
-    total = cols + ws.dtL0
-    jstar, row_min = ws._tiebreak_argmin(total)
-    lo, hi, edge = ws._bracket(jstar)
-    refined, _ = ws._cell_minimum(values, lo, hi, np.zeros_like(row_min))
-    best = np.minimum(row_min, refined)
-    return best / (1.0 - ws.dt * ws.affine), edge
+def _step_affine(ws: _StepWorkspace, values):
+    best, v_star = ws.window_minimum(values, None)
+    return best / (1.0 - ws.dt * ws.affine), v_star
 
 
-def _step_generic(ws: _StepWorkspace, values, cols):
-    dt = ws.dt
-    x = ws.x[:, None]
-    v = ws.v[None, :]
-    # first pass: Lagrangian evaluated at the foot value
-    total = cols + dt * ws._L_at(x, v, cols)
-    jstar, w = ws._tiebreak_argmin(total)
-    # then iterate on the arrival value
-    for it in range(ws.search.inner_max_iter):
-        total = cols + dt * ws._L_at(x, v, w[:, None])
-        jstar, w_new = ws._tiebreak_argmin(total)
+def _step_generic(ws: _StepWorkspace, values):
+    """Value fixed point w = window minimum with L evaluated at u = w,
+    started from the datum."""
+    w = values
+    for _ in range(ws.search.inner_max_iter):
+        w_new, v_star = ws.window_minimum(values, w)
         delta = float(np.max(np.abs(w_new - w)))
         w = w_new
         if delta < ws.search.inner_tol:
-            break
-    else:
-        raise InnerNotConverged(
-            f"inner value iteration still moving by {delta:g} after "
-            f"{ws.search.inner_max_iter} sweeps"
-        )
-    lo, hi, edge = ws._bracket(jstar)
-    refined, v_star = ws._cell_minimum(values, lo, hi, w)
-    w_ref = np.minimum(w, refined)
-    # polish the fixed point at the refined velocity
-    feet = _interp_periodic(values, ws.x - v_star * dt)
-    coarse_feet = cols[np.arange(ws.grid.n), jstar]
-    coarse_v = ws.v[jstar]
-    use_ref = refined <= w
-    vv = np.where(use_ref, v_star, coarse_v)
-    ff = np.where(use_ref, feet, coarse_feet)
-    for it in range(ws.search.inner_max_iter):
-        w_new = ff + dt * ws._L_at(ws.x, vv, w_ref)
-        delta = float(np.max(np.abs(w_new - w_ref)))
-        w_ref = w_new
-        if delta < ws.search.inner_tol:
-            break
-    else:
-        raise InnerNotConverged("refined value iteration did not settle")
-    return w_ref, edge
+            return w, v_star
+    raise InnerNotConverged(
+        f"inner value iteration still moving by {delta:g} after "
+        f"{ws.search.inner_max_iter} sweeps"
+    )
 
 
 def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,

@@ -58,6 +58,10 @@ def test_config_rejects_bad_values():
         parse_config_text("grid.n = -4\n")
     with pytest.raises(ConfigError):
         parse_config_text("evolve.dt = zero\n")
+    for key in ("periodic.dt", "trichotomy.dt", "weakkam.dt"):
+        for value in ("0", "-0.01"):
+            with pytest.raises(ConfigError):
+                parse_config_text(f"{key} = {value}\n")
 
 
 def test_config_lambda_list_and_jobs():

@@ -134,7 +134,7 @@ def test_quadratic_coefficients_shape_and_value():
 
 
 def test_p_star_batch_settles_clamped_momenta(custom_model):
-    # the generic step's 128 x 129 scan: 896 velocities v < -9 have
+    # a 128 x 129 batch of nodes and velocities: 896 velocities v < -9 have
     # p* = v - 1 outside the window and settle at -p_max after one Newton
     # sweep; they must not keep the sweeps (or a bisection) running
     calls = []
