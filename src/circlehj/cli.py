@@ -115,8 +115,7 @@ def cmd_evolve(model, cfg, out, files):
     files.append(reporting.write_csv(os.path.join(out, "field.csv"),
                                      ("x", "value"),
                                      reporting.field_rows(trace.final)))
-    return {"diverged": trace.diverged, "t_end": float(trace.times[-1]),
-            "window_hits": trace.window_hits}
+    return {"diverged": trace.diverged, "t_end": float(trace.times[-1])}
 
 
 def cmd_weak_kam(model, cfg, out, files):
@@ -293,12 +292,14 @@ def run_command(command, config_path, out_dir, normalize_c=False,
     extra = {}
     cfg_hash = ""
     caught: list = []
+    record = sg.RunRecord()
     try:
         os.makedirs(out_dir, exist_ok=True)
         cfg = load_config(config_path)
         cfg_hash = cfg.hash()
         model = build_model(cfg)
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, \
+                sg.recording(record):
             warnings.simplefilter("always", sg.AccuracyWarning)
             if normalize_c:
                 c = estimate_critical_value(model, search=_search_params(cfg))
@@ -336,6 +337,7 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             "files": sorted(os.path.basename(f) for f in files),
             "exit_status": status,
             "accuracy_warnings": accuracy_warnings,
+            "window_hits": record.window_hits,
         }
         manifest.update({k: v for k, v in extra.items()
                          if isinstance(v, (int, float, str, bool))})

@@ -88,6 +88,23 @@ def check_step_trivial(model=None):
     return True, "single steps match the value ODE"
 
 
+def check_window_minimum_exact(model=None):
+    model = model or constant_drift_model(1.0, 0.5)
+    rng = np.random.default_rng(0)
+    for n, dt in ((1024, 8e-3), (256, 1.0 / 256)):
+        ws = sg._StepWorkspace(model, sg.Grid(n), dt, sg.DEFAULT_SEARCH)
+        phi = rng.uniform(-0.1, 0.1, n)
+        u = rng.uniform(-0.1, 0.1, n)
+        block, block_v = ws.cell_block(phi, u)
+        first = np.argmin(block, axis=1)
+        best, v_star = ws.window_minimum(phi, u)
+        if not (np.array_equal(best, block[np.arange(n), first])
+                and np.array_equal(v_star, block_v[np.arange(n), first])):
+            return False, (f"strided search differs from the full "
+                           f"{n}x{ws.offset.size} cell block at dt = {dt:g}")
+    return True, "strided search equals the full cell block bit for bit"
+
+
 def check_subsolution_cd(model=None):
     model = model or constant_drift_model(1.0, 0.5)
     orbit = flow.shoot_stationary_orbit(model, guess=(0.1, 0.1))
@@ -206,6 +223,7 @@ FAST_CHECKS = [
     ("derivative-consistency", check_derivative_consistency),
     ("orbit-constant-drift", check_orbit_cd),
     ("step-trivial", check_step_trivial),
+    ("window-minimum-exact", check_window_minimum_exact),
     ("subsolution-constant-drift", check_subsolution_cd),
     ("min-shift-synthetic", check_minshift_synthetic),
     ("detect-period-flat", check_detect_period_flat),

@@ -16,8 +16,14 @@ in v, so its minimum is the stationary point v = H_p(x, p, u), p the
 cell's slope of the datum, clipped to the cell and the window (the exact
 semi-Lagrangian per-cell minimum).  The minimizing cell is nondecreasing
 in x, so the cells are searched by monotone divide and conquer: a fixed
-number of cells per node, whatever the reach.  Minima at the window ends
-+-v_max are counted as window hits on the trace.
+number of cells per node, whatever the reach.  Each step gathers the
+datum once into a copy unwrapped over every cell a window reaches; the
+whole-window level reads its (node, column) blocks as sliding-window
+views of that copy, with node and column tables broadcast to the block
+once per workspace, and the finer levels gather their cells from it
+once, with no modulo.  Minima at the window ends +-v_max are counted as
+window hits on the trace and added to the RunRecord that ``recording``
+opens (the CLI opens one per command).
 
 The forward semigroup is realized by conjugation: negate the datum,
 evolve under the model H(x,-p,-u), negate back.
@@ -25,12 +31,15 @@ evolve under the model H(x,-p,-u), negate back.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BracketFail, CapTooSmall, InnerNotConverged,
                      NoTrajectoryLanded, NotConverged)
@@ -170,12 +179,39 @@ class EvolutionTrace:
         return np.array([float(np.max(np.abs(s.free_values()))) for s in self.snapshots])
 
 
+@dataclass
+class RunRecord:
+    """Counts of one run that belong in its manifest, never in its data."""
+
+    # EvolutionTrace.window_hits summed over every evolve of the run
+    window_hits: int = 0
+
+
+_RUN_RECORD: contextvars.ContextVar = contextvars.ContextVar(
+    "circlehj_run_record", default=None)
+
+
+@contextlib.contextmanager
+def recording(record: RunRecord):
+    """Add what every evolve in this context counts to ``record``."""
+    token = _RUN_RECORD.set(record)
+    try:
+        yield record
+    finally:
+        _RUN_RECORD.reset(token)
+
+
 class _StepWorkspace:
     """Per-(model, grid, dt, search) precomputation reused across steps.
 
     Column j of the velocity window is the cell k = i + offset[j] that
     holds the foot of node i; the velocities [v_lo[j], v_hi[j]] keep the
-    foot in that cell.
+    foot in that cell.  The offsets are consecutive, so in the datum
+    unwrapped over every cell a window reaches, values[_wrap], cell k of
+    node i sits at position i + j: the (node, column) blocks of cell
+    values and slopes are sliding-window views of that padded copy.
+    Each step writes the padded copy into buffers of the workspace, so a
+    workspace serves one step at a time.
     """
 
     def __init__(self, model: HamiltonianModel, grid: Grid, dt: float,
@@ -194,56 +230,105 @@ class _StepWorkspace:
         v_hi = np.minimum(search.v_max, off / dtn)
         # by round-off an end cell may hold no velocity of the window
         keep = v_lo <= v_hi
-        self.offset, self.off = offset[keep], off[keep]
-        self.v_lo, self.v_hi = v_lo[keep], v_hi[keep]
+        self.offset = offset[keep]
+        # per column: the foot offset off and the velocities [v_lo, v_hi]
+        self._columns = np.stack([off, v_lo, v_hi])[:, keep]
+        width = self.offset.size
         # node stride of the coarsest search level: the largest power of
         # two <= width/16, so that level costs about 16 cells per node
-        wide = (self.offset.size // 16).bit_length() - 1
-        self.stride = min(n, 1 << max(0, wide))
+        wide = (width // 16).bit_length() - 1
+        s = self.stride = min(n, 1 << max(0, wide))
         # for the quadratic family, L = L(x, v, 0) + lam u: the value fixed
         # point collapses, and the node tables (ab, n a, dt/(2a), dt V) give
-        # the cell minimum: dt*L(x,v,0) = (v - ab)^2 dt/(2a) - dt V
+        # the cell minimum: dt*L(x,v,0) = (v - ab)^2 dt/(2a) - dt V.
+        # Without a record the only node table is x.
         q = model.quad_coeffs
         self.affine = None if q is None else q.lam
-        self._quad_nodes = None
+        self._nodes = self.x[None]
         if q is not None:
             av, bv, Vv = (np.broadcast_to(np.asarray(f(self.x), float),
                                           self.x.shape)
                           for f in (q.a, q.b, q.V))
-            self._quad_nodes = (av * bv, n * av, self.dt / (2.0 * av),
-                                self.dt * Vv)
+            self._nodes = np.stack([av * bv, n * av, self.dt / (2.0 * av),
+                                    self.dt * Vv])
+        # buffers for the padded datum and its cell slopes; the whole-window
+        # level reads every s-th node through views of them and through the
+        # tables broadcast to its (rows, columns) shape once, since
+        # same-shape operands run faster than broadcast ones
+        self._wrap = np.arange(self.offset[0], n + self.offset[-1] + 1) % n
+        self._ext = np.empty(n + width)
+        self._slope = np.empty(n + width - 1)
+        rows = np.arange(0, n, s)
+        shape = (rows.size, width)
+        self._coarse = (
+            sliding_window_view(self._ext[:-1], width)[::s],
+            sliding_window_view(self._slope, width)[::s],
+            np.broadcast_to(self._columns[:, None, :], (3,) + shape).copy(),
+            np.broadcast_to(self._nodes[:, rows, None],
+                            self._nodes.shape[:1] + shape).copy())
 
     def _L_at(self, x, v, u):
         """Numeric Lagrangian of a model without a coefficient record."""
         p = solve_p_star_batch(self.model, x, v, u, p_max=self.search.p_max)
         return v * p - self.model.eval_H(x, p, u)
 
-    def _cell_minimum(self, values, u, i, j):
-        """Exact min over the velocities of column j of
-        I(values)(x_i - v dt) + dt L(x_i, v, u_i), for broadcast i and j.
+    def _load(self, values):
+        """Write the datum, unwrapped over every cell a window reaches, and
+        its cell slopes phi_{k+1} - phi_k into the buffers: column j of
+        node i is position i + j."""
+        ext = self._ext
+        ext[:] = values[self._wrap]
+        np.subtract(ext[1:], ext[:-1], out=self._slope)
 
-        On the cell k = i + offset[j], the P1 interpolant is affine in v
-        with slope -dt n (phi_{k+1} - phi_k), and L is convex in v, so the
-        objective is convex on the cell.  Its stationary point is
-        v = H_p(x, p, u) with p = n (phi_{k+1} - phi_k), where L_v = p;
-        clipped to the cell and the window it is the minimum on the cell.
-        For the quadratic family the node table gives the vertex
-        ab + n a (phi_{k+1} - phi_k) and the parabola, and u is unused.
-        Returns the minimum and its velocity.
+    def cell_block(self, values, u):
+        """Cell minima and their velocities of every node over every
+        window column, as (n, W) arrays: what window_minimum searches."""
+        self._load(values)
+        width = self.offset.size
+        return self._cell_minimum(
+            sliding_window_view(self._ext[:-1], width),
+            sliding_window_view(self._slope, width),
+            self._columns[:, None, :], self._nodes[:, :, None], u,
+            np.arange(self.grid.n)[:, None])
+
+    def _cell_minimum(self, phi_k, slope, columns, nodes, u, i):
+        """Exact min over the velocities of a window column of
+        I(values)(x_i - v dt) + dt L(x_i, v, u_i), elementwise over the
+        broadcast cells, given each cell k = i + offset[j]'s datum phi_k
+        and slope phi_{k+1} - phi_k, its column's tables (off, v_lo, v_hi)
+        and its node's tables.
+
+        On the cell, the P1 interpolant is affine in v with slope
+        -dt n (phi_{k+1} - phi_k), and L is convex in v, so the objective
+        is convex on the cell.  Its stationary point is v = H_p(x, p, u)
+        with p = n (phi_{k+1} - phi_k), where L_v = p; clipped to the cell
+        and the window it is the minimum on the cell.  For the quadratic
+        family the node tables give the vertex ab + n a (phi_{k+1} - phi_k)
+        and the parabola, and u is unused.  Returns the minimum and its
+        velocity.
         """
         n = self.grid.n
         dtn = self.dt * n
-        k = (i + self.offset[j]) % n
-        phi_k = values[k]
-        slope = values[(k + 1) % n] - phi_k
-        off, v_lo, v_hi = self.off[j], self.v_lo[j], self.v_hi[j]
-        if self._quad_nodes is not None:
-            ab, na, inv2a_dt, dtV = (t[i] for t in self._quad_nodes)
-            vv = np.clip(ab + na * slope, v_lo, v_hi)
+        off, v_lo, v_hi = columns
+        if self.affine is not None:
+            ab, na, inv2a_dt, dtV = nodes
+            # phi_k + (off - vv dtn) slope + (vv - ab)^2 dt/(2a) - dt V,
+            # in place, in that order
+            vv = na * slope
+            vv += ab
+            np.maximum(vv, v_lo, out=vv)
+            np.minimum(vv, v_hi, out=vv)
             d = vv - ab
-            total = phi_k + (off - vv * dtn) * slope + d * d * inv2a_dt - dtV
+            d *= d
+            d *= inv2a_dt
+            total = vv * dtn
+            np.subtract(off, total, out=total)
+            total *= slope
+            total += phi_k
+            total += d
+            total -= dtV
         else:
-            x, uu = self.x[i], u[i]
+            x, uu = nodes[0], u[i]
             p = n * slope
             # the numeric L clamps p* to [-p_max, p_max] and is linear in v
             # beyond; a steeper cell is monotone, minimal at an end
@@ -260,41 +345,46 @@ class _StepWorkspace:
 
         The minimizing foot cell is nondecreasing in x, so the row minima
         are found by monotone divide and conquer (Aggarwal et al., 1987).
-        Every stride-th node scans the whole window.  Each finer level
-        halves the stride and scans only the cells between the argmin
-        cells of the node's two neighbours, plus one cell on each side: a
-        minimum on a grid node is shared by two cells whose values differ
-        by round-off.  Ties go to the leftmost cell.
+        Every stride-th node scans the whole window, read from views of
+        the padded datum.  Each finer level halves the stride and scans
+        only the cells between the argmin cells of the node's two
+        neighbours, plus one cell on each side: a minimum on a grid node
+        is shared by two cells whose values differ by round-off.  Ties go
+        to the leftmost cell.
         """
         n, s, width = self.grid.n, self.stride, self.offset.size
+        self._load(values)
         best, v_star = np.empty(n), np.empty(n)
-        # argmin cell per node, unwrapped; entry n is node 0 one turn on
-        cell = np.empty(n + 1, dtype=np.int64)
+        # padded position i + j of each node's argmin cell; entry n is
+        # node 0 one turn on
+        col = np.empty(n + 1, dtype=np.int64)
         rows = np.arange(0, n, s)
-        total, vv = self._cell_minimum(values, u, rows[:, None],
-                                       np.arange(width))
+        total, vv = self._cell_minimum(*self._coarse, u, rows[:, None])
         j = np.argmin(total, axis=1)
         at = np.arange(rows.size)
         best[rows], v_star[rows] = total[at, j], vv[at, j]
-        cell[rows] = rows + self.offset[j]
-        cell[n] = cell[0] + n
+        col[rows] = rows + j
+        col[n] = col[0] + n
         while s > 1:
             s //= 2
             rows = np.arange(s, n, 2 * s)
-            left, right = cell[rows - s], cell[rows + s]
-            first = rows + self.offset[0]
-            lo = np.maximum(np.minimum(left, right) - 1, first) - first
-            hi = np.minimum(np.maximum(left, right) + 1 - first, width - 1)
+            left, right = col[rows - s], col[rows + s]
+            lo = np.maximum(np.minimum(left, right) - 1, rows) - rows
+            hi = np.minimum(np.maximum(left, right) + 1 - rows, width - 1)
             counts = hi - lo + 1
             starts = np.cumsum(counts) - counts
             j = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
-            total, vv = self._cell_minimum(values, u,
-                                           np.repeat(rows, counts), j)
+            ri = np.repeat(rows, counts)
+            pos = ri + j
+            total, vv = self._cell_minimum(
+                self._ext[pos], self._slope[pos],
+                np.take(self._columns, j, axis=1),
+                np.take(self._nodes, ri, axis=1), u, ri)
             low = np.minimum.reduceat(total, starts)
             hits = np.flatnonzero(total == np.repeat(low, counts))
             at = hits[np.searchsorted(hits, starts)]
             best[rows], v_star[rows] = low, vv[at]
-            cell[rows] = rows + self.offset[j[at]]
+            col[rows] = rows + j[at]
         return best, v_star
 
 
@@ -411,6 +501,9 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
                 times.append(k * dt_eff)
                 snaps.append(current)
             break
+    record = _RUN_RECORD.get()
+    if record is not None:
+        record.window_hits += hits
     return EvolutionTrace(np.array(times), snaps, model.name, dt_eff,
                           diverged=diverged, window_hits=hits)
 

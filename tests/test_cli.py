@@ -162,6 +162,7 @@ def test_evolve_command_with_plot(cd_cfg_path, tmp_path):
 def test_weak_kam_command(cd_cfg_path, tmp_path):
     out = str(tmp_path / "wk")
     assert cli.main(["weak-kam", "--config", cd_cfg_path, "--out", out]) == 0
+    assert manifest_of(out)["window_hits"] == 0
     with open(os.path.join(out, "weak_kam.json")) as fh:
         report = json.load(fh)
     assert float(report["sup_gap"]) <= 1e-6
@@ -175,6 +176,8 @@ def test_action_command(tmp_path):
     cfg.write_text(CD_CFG + "action.x = 0.5\naction.t = 0.5\n")
     out = str(tmp_path / "act")
     assert cli.main(["action", "--config", str(cfg), "--out", out]) == 0
+    # the interpolated front of a pinned datum is reached at v = +-v_max
+    assert manifest_of(out)["window_hits"] > 0
     with open(os.path.join(out, "action.json")) as fh:
         report = json.load(fh)
     assert abs(float(report["shooting_value"])) <= 1e-8
@@ -197,6 +200,7 @@ def test_periodic_command(tmp_path):
     out = str(tmp_path / "per")
     assert cli.main(["periodic", "--config", str(cfg), "--out", out,
                      "--plot"]) == 0
+    assert manifest_of(out)["window_hits"] > 0  # pinned limit, as in action
     with open(os.path.join(out, "periodic.json")) as fh:
         report = json.load(fh)
     assert float(report["period_residual"]) <= 5e-3
@@ -210,6 +214,7 @@ def test_trichotomy_command(tmp_path):
     cfg.write_text(CD_CFG + "trichotomy.phi = 0.1\ntrichotomy.T_budget = 10\n")
     out = str(tmp_path / "tri")
     assert cli.main(["trichotomy", "--config", str(cfg), "--out", out]) == 0
+    assert manifest_of(out)["window_hits"] == 0
     with open(os.path.join(out, "trichotomy.json")) as fh:
         report = json.load(fh)
     assert report["class"] == "D3_plus_infinity"
@@ -223,6 +228,7 @@ def test_bifurcate_command(tmp_path):
     out = str(tmp_path / "bif")
     assert cli.main(["bifurcate", "--config", str(cfg), "--out", out,
                      "--plot"]) == 0
+    assert manifest_of(out)["window_hits"] > 0  # pinned limits, as in action
     rows = {}
     with open(os.path.join(out, "bifurcation.csv")) as fh:
         assert fh.readline().strip() == "lambda,class,amplitude,period,min_abs_B"

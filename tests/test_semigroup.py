@@ -67,20 +67,28 @@ def test_step_reaches_window_minimum(cd_model, cdv_model, custom_model, n,
                                      dt):
     # on rough data the objective is piecewise quadratic in v and need not
     # be unimodal; the strided search must give the minimum of the whole
-    # (node, window column) block bit for bit, and the step must attain
-    # the minimum over the whole window, sampled here at 4001 velocities
+    # (node, window column) block and its leftmost-argmin velocity bit for
+    # bit, and the step must attain the minimum over the whole window,
+    # sampled here at 4001 velocities.  The capped plateau of a pinned
+    # datum ties whole runs of cells.
     g = sg.Grid(n)
     rng = np.random.default_rng(0)
     phi = rng.uniform(-0.1, 0.1, n)
     u = rng.uniform(-0.1, 0.1, n)
+    pinned = [sg.Field.pinned(g, 0.25, 0.3, 120.0)]
+    for _ in range(5):
+        pinned.append(sg.lax_oleinik_step(cd_model, pinned[-1], dt))
     varying = make_quadratic_model("1+0.3*sin(2*pi*x)", "1+0.2*cos(2*pi*x)",
                                    "0.1*cos(4*pi*x)", LAM)
     v = np.linspace(-sg.DEFAULT_SEARCH.v_max, sg.DEFAULT_SEARCH.v_max, 4001)
     for model in (cd_model, cdv_model, varying, custom_model):
         ws = sg._StepWorkspace(model, g, dt, sg.DEFAULT_SEARCH)
-        block, _ = ws._cell_minimum(phi, u, np.arange(n)[:, None],
-                                    np.arange(ws.offset.size))
-        assert np.array_equal(ws.window_minimum(phi, u)[0], block.min(axis=1))
+        for values in [phi] + [f.values for f in pinned]:
+            block, block_v = ws.cell_block(values, u)
+            j = np.argmin(block, axis=1)
+            best, v_star = ws.window_minimum(values, u)
+            assert np.array_equal(best, block.min(axis=1))
+            assert np.array_equal(v_star, block_v[np.arange(n), j])
         if model.quad_coeffs is None:
             continue
         w = sg.lax_oleinik_step(model, sg.Field(g, phi), dt, workspace=ws)
@@ -119,11 +127,16 @@ def test_window_hits_counted(cd_model, grid256):
     drift12 = constant_drift_model(12.0, LAM)
     zero = sg.Field.constant(grid256, 0.0)
     steps = 4
-    for model in (drift12, dataclasses.replace(drift12, quad_coeffs=None)):
-        trace = sg.evolve(model, zero, steps * grid256.h, grid256.h)
-        assert trace.window_hits == steps * grid256.n
-    assert sg.evolve(cd_model, zero, steps * grid256.h,
-                     grid256.h).window_hits == 0
+    record = sg.RunRecord()
+    with sg.recording(record):
+        for model in (drift12, dataclasses.replace(drift12, quad_coeffs=None)):
+            trace = sg.evolve(model, zero, steps * grid256.h, grid256.h)
+            assert trace.window_hits == steps * grid256.n
+        assert sg.evolve(cd_model, zero, steps * grid256.h,
+                         grid256.h).window_hits == 0
+    # the run record sums every evolve inside the context, and only those
+    sg.evolve(drift12, zero, steps * grid256.h, grid256.h)
+    assert record.window_hits == 2 * steps * grid256.n
 
 
 def test_generic_paths_match_on_rough_data(cd_model):
