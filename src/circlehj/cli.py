@@ -18,8 +18,9 @@ import warnings
 
 from . import errors, flow, periodic, reporting
 from . import semigroup as sg
-from .config import ExperimentConfig, build_model, expression_function, load_config
-from .model import estimate_critical_value, shift_hamiltonian
+from .config import ExperimentConfig, build_model, load_config
+from .model import (compile_expression, estimate_critical_value,
+                    shift_hamiltonian)
 from .selftest import run_selftest
 
 _ASSUMPTION_ERRORS = (errors.NonPositiveA, errors.TurningPoint,
@@ -48,8 +49,8 @@ def _grid(cfg) -> sg.Grid:
 
 
 def _phi_field(cfg, grid, key=("evolve", "phi")) -> sg.Field:
-    fn = expression_function(cfg.get(*key))
-    return sg.Field(grid, fn(grid.nodes))
+    phi, _ = compile_expression(cfg.get(*key))
+    return sg.Field(grid, phi(grid.nodes))
 
 
 def _orbit(model, cfg):

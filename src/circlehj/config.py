@@ -1,10 +1,11 @@
 """Flat key = value experiment configuration.
 
 The file format is one `section.key = value` assignment per line, `#`
-comments allowed.  Coefficient and initial-datum values may be
-expression strings over x (with cos, sin, pi); everything else is
-numeric.  Unknown keys are rejected so a typo cannot silently fall back
-to a default.
+comments allowed.  Coefficient and initial-datum values are expressions
+in x, checked at parse time against the grammar of
+`model.compile_expression` (numbers, x, pi, + - * / **, unary +-, cos
+and sin); everything else is numeric.  Unknown keys are rejected so a
+typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-import sympy as sp
-
 from .errors import ConfigError
+from .model import compile_expression, make_quadratic_model
 
 # section -> key -> (type tag, default); None default means required-if-used
 _SCHEMA = {
@@ -128,6 +127,11 @@ def _convert(section, key, raw, kind):
             value = raw
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind}") from exc
+    if kind == "expr":
+        try:
+            compile_expression(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
     if (section, key) in _POSITIVE:
         bad = (min(value) if kind == "floats" else value) <= 0
         if bad:
@@ -166,28 +170,7 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text, path=str(path))
 
 
-def expression_function(expr: str):
-    """Compile an expression in x (cos, sin, pi allowed) to a vector function."""
-    xs = sp.Symbol("x")
-    try:
-        e = sp.sympify(expr, locals={"x": xs, "pi": sp.pi, "cos": sp.cos,
-                                     "sin": sp.sin})
-    except (sp.SympifyError, SyntaxError, TypeError) as exc:
-        raise ConfigError(f"cannot parse expression {expr!r}") from exc
-    raw = sp.lambdify(xs, e, modules="numpy")
-
-    def fn(x):
-        out = np.asarray(raw(x), dtype=float)
-        if out.shape != np.shape(x):
-            out = np.broadcast_to(out, np.shape(x)).copy()
-        return out
-
-    return fn
-
-
 def build_model(cfg: ExperimentConfig):
-    from .model import make_quadratic_model
-
     family = cfg.get("model", "family")
     if family != "quadratic":
         raise ConfigError(f"unknown model family {family!r}")

@@ -6,22 +6,24 @@ package.  The built-in quadratic family
 
     H = a(x)/2 * (p + b(x))**2 + V(x) - a(x)*b(x)**2/2 - lam*u
 
-covers every reference configuration; its coefficient functions are
-differentiated symbolically so all partials are exact.  Arbitrary models
-can be supplied as raw callables as long as they broadcast over numpy
-arrays.
+covers every reference configuration.  Its coefficients are numbers or
+expressions in x, compiled by ``compile_expression`` against a small
+whitelisted grammar and differentiated by a complex step, so all
+partials are exact to round-off.  Arbitrary models can be supplied as
+raw callables as long as they broadcast over numpy arrays.
 """
 
 from __future__ import annotations
 
+import ast
 import logging
+import operator
 from dataclasses import InitVar, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import sympy as sp
 
-from .errors import NoBracket, NonPositiveA, NotConverged
+from .errors import ConfigError, NoBracket, NonPositiveA, NotConverged
 
 
 @dataclass(frozen=True)
@@ -139,60 +141,113 @@ class AssumptionReport:
         return self.h1_ok and self.h4_ok and self.condition_c_ok
 
 
-def _as_coefficient(spec):
-    """Turn a number / expression string / sympy expression into value and
-    derivative callables over the circle coordinate."""
-    xs = sp.Symbol("x")
-    if callable(spec):
-        raise TypeError(
-            "quadratic coefficients must be numbers or expressions in x "
-            "(symbolic differentiation needs an expression, not a callable)"
-        )
-    expr = sp.sympify(spec, locals={"x": xs, "pi": sp.pi, "cos": sp.cos, "sin": sp.sin})
+_FUNCTIONS = {"cos": np.cos, "sin": np.sin}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_GRAMMAR = "numbers, x, pi, + - * / **, unary +-, cos(.) and sin(.)"
+# Complex step: for an expression analytic in x, Im f(x + i h) / h is f'(x)
+# to round-off, with no subtraction to cancel digits.
+_STEP = 1e-30
 
-    def wrap(e):
-        raw = sp.lambdify(xs, e, modules="numpy")
-        if not e.free_symbols:
-            # evaluated once, through the same lambdified arithmetic
-            c = float(raw(0.0))
 
-            def const(x):
-                shape = np.shape(x)
-                if not shape:
-                    return c
-                out = np.empty(shape)
-                out.fill(c)
-                return out
+def _closure(node, text):
+    """(fn, reads_x) for a whitelisted expression node.
 
-            return const
+    fn evaluates the node with numpy on real or complex x; constants are
+    float64, so a constant subtree follows numpy semantics too.  Raises
+    ConfigError on any construct outside the grammar.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        c = np.float64(node.value)
+        return (lambda x: c), False
+    if isinstance(node, ast.Name) and node.id == "x":
+        return (lambda x: x), True
+    if isinstance(node, ast.Name) and node.id == "pi":
+        c = np.float64(np.pi)
+        return (lambda x: c), False
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        op = _UNARY[type(node.op)]
+        f, reads_x = _closure(node.operand, text)
+        return (lambda x: op(f(x))), reads_x
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        f, f_reads = _closure(node.left, text)
+        g, g_reads = _closure(node.right, text)
+        if g_reads and isinstance(node.op, ast.Pow):
+            raise ConfigError(f"expression {text!r}: the exponent of "
+                              f"{ast.unparse(node)!r} must not depend on x")
+        return (lambda x: op(f(x), g(x))), f_reads or g_reads
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1
+            and not node.keywords):
+        fun = _FUNCTIONS[node.func.id]
+        f, reads_x = _closure(node.args[0], text)
+        return (lambda x: fun(f(x))), reads_x
+    raise ConfigError(f"expression {text!r}: {ast.unparse(node)!r} is not "
+                      f"allowed (grammar: {_GRAMMAR})")
 
-        def g(x):
-            out = np.asarray(raw(x), dtype=float)
-            if out.shape != np.shape(x):
-                out = np.full(np.shape(x), out)
-            if np.ndim(x) == 0:
-                return float(out)
-            return out
 
-        return g
+def _constant(c):
+    """Callable of the constant c: a float for scalar x, else filled like x."""
+    def const(x):
+        shape = np.shape(x)
+        if not shape:
+            return c
+        out = np.empty(shape)
+        out.fill(c)
+        return out
 
-    return wrap(expr), wrap(sp.diff(expr, xs)), sp.srepr(expr)
+    return const
+
+
+def compile_expression(spec):
+    """Value and x-derivative callables of a number or an expression in x.
+
+    A number is taken as ``float(spec)``.  A string is parsed by ``ast``
+    and must stay inside the grammar: int and float constants, ``x``,
+    ``pi``, ``+ - * /``, ``**`` with an exponent free of x, unary ``+ -``,
+    and ``cos``/``sin`` of one argument; anything else raises ConfigError.
+    Both callables return a float for scalar x and a float array shaped
+    like x otherwise.  A constant is evaluated once and its derivative is
+    0; the derivative of any other expression is its complex step.
+    """
+    if not isinstance(spec, str):
+        return _constant(float(spec)), _constant(0.0)
+    try:
+        fn, reads_x = _closure(ast.parse(spec, mode="eval").body, spec)
+    except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse expression {spec!r}: {exc}") from exc
+    if not reads_x:
+        return _constant(float(fn(0.0))), _constant(0.0)
+
+    def f(x):
+        out = fn(np.asarray(x, dtype=float))
+        return float(out) if np.ndim(x) == 0 else out
+
+    def f_x(x):
+        out = fn(np.asarray(x, dtype=float) + _STEP * 1j).imag / _STEP
+        return float(out) if np.ndim(x) == 0 else out
+
+    return f, f_x
 
 
 def make_quadratic_model(a, b, V, lam, kappa=None, delta=None,
                          a_min=1e-12) -> HamiltonianModel:
     """Build a member of the quadratic family with exact derivatives.
 
-    ``a``, ``b``, ``V`` are numbers or expression strings in x (period 1);
-    ``lam`` scales the u-term.  The normalization constant -a*b^2/2 makes
+    ``a``, ``b``, ``V`` are numbers or expression strings in x (period 1)
+    in the grammar of ``compile_expression``, which raises ConfigError on
+    anything else; ``lam`` scales the u-term.  The normalization constant -a*b^2/2 makes
     the flat section p = 0, u = 0 lie on the zero-energy surface whenever
     V = 0.
 
     Raises NonPositiveA if the sampled kinetic coefficient is not > a_min.
     """
-    a_f, a_d, a_s = _as_coefficient(a)
-    b_f, b_d, b_s = _as_coefficient(b)
-    V_f, V_d, V_s = _as_coefficient(V)
+    a_f, a_d = compile_expression(a)
+    b_f, b_d = compile_expression(b)
+    V_f, V_d = compile_expression(V)
     lam = float(lam)
 
     xs = np.linspace(0.0, 1.0, 512, endpoint=False)

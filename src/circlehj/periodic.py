@@ -443,24 +443,19 @@ def classify_trichotomy(model: HamiltonianModel, phi: Field, u_plus: Field,
                    search=search, u_cap=u_cap)
     report = TrichotomyReport(klass=klass, confirmed=False, evidence_min=gmin,
                               evidence_max=gmax, touch_tol=touch_tol)
-    if klass == "D3_plus_infinity":
+    if klass != "D1_bounded":
+        # escape to +inf (D3) is min >= level, to -inf (D2) max <= -level:
+        # both are min(sign * values) >= level
+        sign = 1.0 if klass == "D3_plus_infinity" else -1.0
         for t, s in zip(trace.times, trace.snapshots):
-            if float(np.min(s.values)) >= escape_level:
+            if float(np.min(sign * s.values)) >= escape_level:
                 report.confirmed = True
                 report.escape_time = float(t)
                 break
         if not report.confirmed:
             report.inconclusive_reason = (
-                f"min never reached {escape_level:g} within t = {t_budget:g}")
-    elif klass == "D2_minus_infinity":
-        for t, s in zip(trace.times, trace.snapshots):
-            if float(np.max(s.values)) <= -escape_level:
-                report.confirmed = True
-                report.escape_time = float(t)
-                break
-        if not report.confirmed:
-            report.inconclusive_reason = (
-                f"max never reached {-escape_level:g} within t = {t_budget:g}")
+                f"{'min' if sign > 0 else 'max'} never reached "
+                f"{sign * escape_level:g} within t = {t_budget:g}")
     else:
         if trace.diverged:
             report.inconclusive_reason = "evolution diverged despite touching data"

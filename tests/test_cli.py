@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +129,31 @@ def test_config_error_exit_4(tmp_path):
     missing = str(tmp_path / "gone")
     assert cli.main(["orbit", "--config", str(tmp_path / "nope.cfg"),
                      "--out", missing]) == 4
+
+
+@pytest.mark.parametrize("line", [
+    "model.V = exp(x", 'model.V = __import__("os").getpid()*0',
+    "evolve.phi = sqrt(x)", "model.b = x.real", "model.V = cos(x, 1)",
+    "model.a = x**x"])
+def test_bad_expression_exit_4(tmp_path, line):
+    # every expression key is checked at parse time, whatever the command
+    cfg = tmp_path / "expr.cfg"
+    cfg.write_text(CD_CFG + line + "\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["check-model", "--config", str(cfg), "--out", out]) == 4
+    assert manifest_of(out)["exit_status"] == 4
+
+
+def test_import_does_not_load_sympy():
+    import circlehj
+    src = os.path.dirname(os.path.dirname(circlehj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, circlehj, circlehj.cli; "
+         "print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_evolve_command_with_plot(cd_cfg_path, tmp_path):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from circlehj.errors import NoBracket, NonPositiveA, NotConverged
-from circlehj.model import (check_assumptions, conjugate_model,
-                            constant_drift_model, cosine_potential_model,
+from circlehj.model import (check_assumptions, compile_expression,
+                            conjugate_model, constant_drift_model,
+                            cosine_potential_model,
                             derivative_consistency, estimate_critical_value,
                             freeze_classical, lagrangian, legendre_transform,
                             make_quadratic_model, shift_hamiltonian,
@@ -131,6 +132,49 @@ def test_quadratic_coefficients_shape_and_value():
         assert out.shape == x.shape and out.dtype == float
         assert np.array_equal(out, expect)
         assert type(f(0.25)) is float and f(0.25) == float(expect[0, 2])
+
+
+def test_numeric_coefficients_keep_every_digit():
+    # numbers and their repr strings must reach the record unrounded
+    rng = np.random.default_rng(2000)
+    for a, b, V in rng.uniform(0.5, 2.0, (100, 3)):
+        for spec in ((a, b, V), tuple(repr(float(c)) for c in (a, b, V))):
+            q = make_quadratic_model(*spec, 0.5).quad_coeffs
+            assert (q.a(0.3), q.b(0.3), q.V(0.3)) == (a, b, V)
+            assert np.all(q.b(np.linspace(0.0, 1.0, 5)) == b)
+    q = make_quadratic_model(1.0, 1.2345678901234567, 0.0, 0.5).quad_coeffs
+    assert q.b(0.0) == 1.2345678901234567
+
+
+TP = 2.0 * np.pi
+
+
+@pytest.mark.parametrize("text, value, deriv", [
+    ("0.1*cos(4*pi*x)", lambda x: 0.1 * np.cos(2 * TP * x),
+     lambda x: -0.4 * np.pi * np.sin(2 * TP * x)),
+    ("x**2 - x/3", lambda x: x ** 2 - x / 3, lambda x: 2 * x - 1 / 3),
+    ("1/(2 + sin(2*pi*x))", lambda x: 1 / (2 + np.sin(TP * x)),
+     lambda x: -TP * np.cos(TP * x) / (2 + np.sin(TP * x)) ** 2),
+    ("-x**-2 + +(1 + 0.5*x)**1.5", lambda x: -x ** -2.0 + (1 + 0.5 * x) ** 1.5,
+     lambda x: 2 * x ** -3.0 + 0.75 * (1 + 0.5 * x) ** 0.5),
+    ("3*sin(x)**2*cos(pi*x)", lambda x: 3 * np.sin(x) ** 2 * np.cos(np.pi * x),
+     lambda x: (6 * np.sin(x) * np.cos(x) * np.cos(np.pi * x)
+                - 3 * np.pi * np.sin(x) ** 2 * np.sin(np.pi * x))),
+    ("2*pi - 1", lambda x: TP - 1 + 0 * x, lambda x: 0 * x),
+], ids=["cos", "poly-quotient", "reciprocal", "powers-unary", "product",
+        "constant"])
+def test_compiled_derivatives(text, value, deriv):
+    f, f_x = compile_expression(text)
+    x = np.linspace(0.05, 0.95, 8).reshape(2, 4)
+    e = 1e-6
+    for fn, expect in ((f, value), (f_x, deriv)):
+        out = fn(x)
+        assert out.shape == x.shape and out.dtype == float
+        assert np.all(np.abs(out - expect(x)) <= 1e-12 * (1 + np.abs(out)))
+        assert type(fn(0.35)) is float
+        assert abs(fn(0.35) - expect(0.35)) <= 1e-12 * (1 + abs(fn(0.35)))
+    central = (f(x + e) - f(x - e)) / (2 * e)
+    assert np.all(np.abs(f_x(x) - central) <= 1e-7 * (1 + np.abs(central)))
 
 
 def test_p_star_batch_settles_clamped_momenta(custom_model):
