@@ -4,8 +4,10 @@ The file format is one `section.key = value` assignment per line, `#`
 comments allowed.  Coefficient and initial-datum values are expressions
 in x, checked at parse time against the grammar of
 `model.compile_expression` (numbers, x, pi, + - * / **, unary +-, cos
-and sin); everything else is numeric.  Unknown keys are rejected so a
-typo cannot silently fall back to a default.
+and sin) and evaluated, with their x-derivatives, on the nodes of
+`grid.n`, where every value must be finite; everything else is numeric.
+Unknown keys are rejected so a typo cannot silently fall back to a
+default.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import ConfigError
 from .model import compile_expression, make_quadratic_model
@@ -127,11 +131,6 @@ def _convert(section, key, raw, kind):
             value = raw
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind}") from exc
-    if kind == "expr":
-        try:
-            compile_expression(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from exc
     if (section, key) in _POSITIVE:
         bad = (min(value) if kind == "floats" else value) <= 0
         if bad:
@@ -158,7 +157,29 @@ def parse_config_text(text: str, path=None) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {lhs!r}")
         kind = _SCHEMA[section][key][0]
         values[section][key] = _convert(section, key, rhs, kind)
+    _check_expressions(values)
     return ExperimentConfig(values=values, text=text, path=path)
+
+
+def _check_expressions(values):
+    """Compile every expression key and evaluate it and its x-derivative on
+    the nodes of grid.n; ConfigError unless every value is finite."""
+    n = values["grid"]["n"]
+    xs = np.arange(n) / n
+    for section, keys in _SCHEMA.items():
+        for key, (kind, _) in keys.items():
+            if kind != "expr":
+                continue
+            raw = values[section][key]
+            try:
+                with np.errstate(all="ignore"):
+                    finite = all(np.all(np.isfinite(f(xs)))
+                                 for f in compile_expression(raw))
+            except ConfigError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+            if not finite:
+                raise ConfigError(f"{section}.{key} = {raw!r} is not finite "
+                                  f"on the {n}-node grid")
 
 
 def load_config(path) -> ExperimentConfig:

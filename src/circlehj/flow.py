@@ -206,23 +206,25 @@ def _graph_field(model: HamiltonianModel, n, b_min_tol):
     return field
 
 
-def _graph_sweep(field, p0, u0, n, store):
+def _graph_sweep(field, p0, u0, n):
     """RK4 sweep of the graph ODE over the n cells of [0, 1].
 
-    Returns the end values (t, p, u), or with store the inclusive tables
-    (t, p, u) at x_k = k/n.  Raises BlowUp when |p| or |u| leaves the
-    sweep window.
+    Returns the inclusive tables (t, p, u) at x_k = k/n.  Raises BlowUp
+    when |p| or |u| leaves the sweep window.
     """
     h = 1.0 / n
     y = (0.0, float(p0), float(u0))
-    rows = [y]
+    # one list of floats per table: unlike tuples, floats are not tracked
+    # by the garbage collector
+    t, p, u = ([v] for v in y)
     for k in range(n):
         y = _rk4_step(field, k, y, h)
         if abs(y[1]) > _SWEEP_BLOW or abs(y[2]) > _SWEEP_BLOW:
             raise BlowUp(f"graph sweep blew up near x = {k * h:g}")
-        if store:
-            rows.append(y)
-    return tuple(np.array(rows).T.copy()) if store else y
+        t.append(y[0])
+        p.append(y[1])
+        u.append(y[2])
+    return np.array(t), np.array(p), np.array(u)
 
 
 def integrate_reduced(model: HamiltonianModel, p_start, u_start, n=1024,
@@ -234,7 +236,7 @@ def integrate_reduced(model: HamiltonianModel, p_start, u_start, n=1024,
     Raises TurningPoint when |H_p| drops below b_min_tol.
     """
     return _graph_sweep(_graph_field(model, n, b_min_tol), p_start, u_start,
-                        n, store=True)
+                        n)
 
 
 def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
@@ -246,23 +248,23 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
     periodicity forces the orbit onto the zero-energy surface, so the
     converged tables satisfy H = 0 and p = u' automatically.  Multiple
     branches are possible; the solver returns the one reached from the
-    caller's guess.
+    caller's guess.  The tables are those of the last accepted sweep.
     """
     field = _graph_field(model, n, b_min_tol)
 
-    def sweep_tail(p0, u0):
-        return _graph_sweep(field, p0, u0, n, store=False)
+    def shot(qv):
+        """(tables, residual) of the sweep from qv = (p0, u0)."""
+        tables = _graph_sweep(field, qv[0], qv[1], n)
+        return tables, np.array([tables[1][-1] - qv[0], tables[2][-1] - qv[1]])
 
-    def try_residual(qv):
+    def try_shot(qv):
         try:
-            t1, p1, u1 = sweep_tail(qv[0], qv[1])
+            return shot(qv)
         except (TurningPoint, BlowUp):
             return None
-        return np.array([p1 - qv[0], u1 - qv[1]])
 
     q = np.array(guess, dtype=float)
-    t1, p1, u1 = sweep_tail(q[0], q[1])  # raises TurningPoint on a bad guess
-    r = np.array([p1 - q[0], u1 - q[1]])
+    tables, r = shot(q)  # raises TurningPoint on a bad guess
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if np.max(np.abs(r)) <= newton_tol:
@@ -272,37 +274,37 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
             eps = 1e-7 * (1.0 + abs(q[j]))
             qp = q.copy()
             qp[j] += eps
-            rp = try_residual(qp)
-            if rp is None:
+            trial = try_shot(qp)
+            if trial is None:
                 raise TurningPoint("graph speed vanished while forming the "
                                    "shooting Jacobian")
-            jac[:, j] = (rp - r) / eps
+            jac[:, j] = (trial[1] - r) / eps
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise NotConverged(f"singular shooting Jacobian at {q}") from exc
         scale = 1.0
-        q_new, r_new = None, None
+        accepted = None
         for _ in range(9):
             cand = q + scale * step
-            rc = try_residual(cand)
-            if rc is not None and np.max(np.abs(rc)) < np.max(np.abs(r)):
-                q_new, r_new = cand, rc
+            trial = try_shot(cand)
+            if trial is not None and np.max(np.abs(trial[1])) < np.max(np.abs(r)):
+                accepted = cand, trial
                 break
             scale *= 0.5
-        if q_new is None:
+        if accepted is None:
             raise NotConverged(
                 f"damping failed at residual {np.max(np.abs(r)):.3g}; "
                 "the shot does not improve along the Newton direction"
             )
-        q, r = q_new, r_new
+        q, (tables, r) = accepted
     else:
         raise NotConverged(
             f"shooting Newton did not reach {newton_tol:g} in {max_iter} steps "
             f"(residual {np.max(np.abs(r)):.3g})"
         )
 
-    t, p, u = _graph_sweep(field, q[0], q[1], n, store=True)
+    t, p, u = tables
     x_nodes = np.linspace(0.0, 1.0, n + 1)
     speed = np.asarray(model.d_p(x_nodes, p, u), dtype=float)
     h_res = float(np.max(np.abs(model.eval_H(x_nodes, p, u))))

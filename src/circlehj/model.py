@@ -106,7 +106,7 @@ class HamiltonianModel:
     # Former fast-path hooks, accepted only as None: circlebench/workloads.py
     # builds its callback-only model with dataclasses.replace(model,
     # closed_form_L=None, l_affine_u=None, quad_coeffs=None).  They go once
-    # that call drops the two keywords (ROADMAP item 5).
+    # that call drops the two keywords (ROADMAP item 4).
     closed_form_L: InitVar[None] = None
     l_affine_u: InitVar[None] = None
 

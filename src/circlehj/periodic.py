@@ -154,11 +154,17 @@ class PeriodicSolution:
 
 
 def _dilate(mask, radius):
-    """Periodic mask grown by radius nodes on each side."""
-    out = mask.copy()
-    for r in range(1, radius + 1):
-        out |= np.roll(mask, r) | np.roll(mask, -r)
-    return out
+    """Periodic mask grown by radius nodes on each side.
+
+    Node i is set when the window i - radius .. i + radius of the
+    circularly padded mask holds a set node: one cumulative count.
+    """
+    n = mask.size
+    if 2 * radius + 1 >= n:
+        return np.full(n, mask.any())
+    padded = np.concatenate((mask[n - radius:], mask, mask[:radius]))
+    count = np.concatenate(([0], np.cumsum(padded)))
+    return count[2 * radius + 1:] > count[:n]
 
 
 def _oscillation(slices):

@@ -105,6 +105,48 @@ def check_window_minimum_exact(model=None):
     return True, "strided search equals the full cell block bit for bit"
 
 
+def check_evolve_matches_steps(model=None):
+    model = model or constant_drift_model(1.0, 0.5)
+    rng = np.random.default_rng(1)
+    # a window narrower than the drift puts capped nodes' minima on its end
+    narrow = sg.SearchParams(v_max=0.5)
+    for n, dt in ((256, 1.0 / 256), (1024, 8e-3)):
+        g = sg.Grid(n)
+        pinned = sg.Field.pinned(g, rng.uniform(), 0.1, 50.0)
+        for phi, search in ((sg.Field(g, rng.uniform(-0.1, 0.1, n)),
+                             sg.DEFAULT_SEARCH),
+                            (pinned, sg.DEFAULT_SEARCH), (pinned, narrow)):
+            trace = sg.evolve(model, phi, 8 * dt, dt, snapshot_every=3 * dt,
+                              search=search)
+            # the same run from single steps, window hits from the cell block
+            ws = sg._StepWorkspace(model, g, dt, search)
+            snaps, hits, current = [phi], 0, phi
+            for k in range(1, 9):
+                block, block_v = ws.cell_block(current.values, None)
+                v = block_v[np.arange(n), np.argmin(block, axis=1)]
+                current = sg.lax_oleinik_step(model, current, dt,
+                                              search=search, workspace=ws)
+                edge = np.abs(v) == search.v_max
+                if current.cap_mask is not None:
+                    edge &= ~current.cap_mask
+                hits += int(np.count_nonzero(edge))
+                if k % 3 == 0 or k == 8:
+                    snaps.append(current)
+            same = (not trace.diverged and trace.window_hits == hits
+                    and np.array_equal(trace.times, [0, 3 * dt, 6 * dt, 8 * dt])
+                    and len(trace.snapshots) == len(snaps))
+            for got, want in zip(trace.snapshots, snaps):
+                same = same and np.array_equal(got.values, want.values) and (
+                    np.array_equal(got.cap_mask, want.cap_mask)
+                    if want.cap_mask is not None else got.cap_mask is None)
+            if not same:
+                kind = "pinned" if phi.cap_mask is not None else "free"
+                return False, (f"evolve differs from single steps on {kind} "
+                               f"data at n = {n}, dt = {dt:g}, "
+                               f"v_max = {search.v_max:g}")
+    return True, "evolve equals a chain of single steps bit for bit"
+
+
 def check_subsolution_cd(model=None):
     model = model or constant_drift_model(1.0, 0.5)
     orbit = flow.shoot_stationary_orbit(model, guess=(0.1, 0.1))
@@ -224,6 +266,7 @@ FAST_CHECKS = [
     ("orbit-constant-drift", check_orbit_cd),
     ("step-trivial", check_step_trivial),
     ("window-minimum-exact", check_window_minimum_exact),
+    ("evolve-matches-steps", check_evolve_matches_steps),
     ("subsolution-constant-drift", check_subsolution_cd),
     ("min-shift-synthetic", check_minshift_synthetic),
     ("detect-period-flat", check_detect_period_flat),

@@ -21,9 +21,15 @@ datum once into a copy unwrapped over every cell a window reaches; the
 whole-window level reads its (node, column) blocks as sliding-window
 views of that copy, with node and column tables broadcast to the block
 once per workspace, and the finer levels gather their cells from it
-once, with no modulo.  Minima at the window ends +-v_max are counted as
-window hits on the trace and added to the RunRecord that ``recording``
-opens (the CLI opens one per command).
+once, with no modulo.  Below 32 columns the whole-window level takes
+every node and is the answer.  Minima at the window ends +-v_max are
+counted as window hits on the trace and added to the RunRecord that
+``recording`` opens (the CLI opens one per command).
+
+``evolve`` keeps the raw values and the cap mask of the running state,
+clips to the cap in place and builds a Field only for a snapshot; the
+contraction bound kappa*dt < 1/2 is checked once, when the workspace is
+built.
 
 The forward semigroup is realized by conjugation: negate the datum,
 evolve under the model H(x,-p,-u), negate back.
@@ -216,6 +222,10 @@ class _StepWorkspace:
 
     def __init__(self, model: HamiltonianModel, grid: Grid, dt: float,
                  search: SearchParams):
+        kdt = model.kappa * float(dt)
+        if kdt >= 0.5:
+            raise ValueError(f"kappa*dt = {kdt:g} >= 0.5 breaks the inner "
+                             "contraction; reduce dt")
         self.model = model
         self.grid = grid
         self.dt = float(dt)
@@ -258,7 +268,12 @@ class _StepWorkspace:
         self._wrap = np.arange(self.offset[0], n + self.offset[-1] + 1) % n
         self._ext = np.empty(n + width)
         self._slope = np.empty(n + width - 1)
-        rows = np.arange(0, n, s)
+        # the whole-window level scans rows 0, s, 2s, ...; each finer level
+        # the rows midway between those of the levels above it
+        rows = self._rows = np.arange(0, n, s)
+        self._at = np.arange(rows.size)
+        self._levels = [np.arange(r, n, 2 * r)
+                        for r in (s >> k for k in range(1, s.bit_length()))]
         shape = (rows.size, width)
         self._coarse = (
             sliding_window_view(self._ext[:-1], width)[::s],
@@ -354,21 +369,22 @@ class _StepWorkspace:
         """
         n, s, width = self.grid.n, self.stride, self.offset.size
         self._load(values)
+        rows, at = self._rows, self._at
+        total, vv = self._cell_minimum(*self._coarse, u, rows[:, None])
+        j = np.argmin(total, axis=1)
+        if s == 1:
+            return total[at, j], vv[at, j]
         best, v_star = np.empty(n), np.empty(n)
         # padded position i + j of each node's argmin cell; entry n is
         # node 0 one turn on
         col = np.empty(n + 1, dtype=np.int64)
-        rows = np.arange(0, n, s)
-        total, vv = self._cell_minimum(*self._coarse, u, rows[:, None])
-        j = np.argmin(total, axis=1)
-        at = np.arange(rows.size)
-        best[rows], v_star[rows] = total[at, j], vv[at, j]
-        col[rows] = rows + j
+        best[::s], v_star[::s] = total[at, j], vv[at, j]
+        col[:n:s] = rows + j
         col[n] = col[0] + n
-        while s > 1:
+        for rows in self._levels:
             s //= 2
-            rows = np.arange(s, n, 2 * s)
-            left, right = col[rows - s], col[rows + s]
+            # the rows s, 3s, ...: neighbours at rows -+ s, results at rows
+            left, right = col[:n - s:2 * s], col[2 * s::2 * s]
             lo = np.maximum(np.minimum(left, right) - 1, rows) - rows
             hi = np.minimum(np.maximum(left, right) + 1 - rows, width - 1)
             counts = hi - lo + 1
@@ -383,8 +399,8 @@ class _StepWorkspace:
             low = np.minimum.reduceat(total, starts)
             hits = np.flatnonzero(total == np.repeat(low, counts))
             at = hits[np.searchsorted(hits, starts)]
-            best[rows], v_star[rows] = low, vv[at]
-            col[rows] = rows + j[at]
+            best[s::2 * s], v_star[s::2 * s] = low, vv[at]
+            col[s:n:2 * s] = rows + j[at]
         return best, v_star
 
 
@@ -400,7 +416,11 @@ def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
     """
     ws = _workspace_for(model, phi.grid, dt, search, workspace)
     raw, _ = _step_values(ws, phi.values)
-    return _recap(phi, raw)
+    cap = phi.cap_value
+    if cap is None:
+        return Field(phi.grid, raw)
+    mask = raw >= cap
+    return Field(phi.grid, np.minimum(raw, cap, out=raw), mask, cap)
 
 
 def _workspace_for(model, grid, dt, search, workspace):
@@ -413,23 +433,9 @@ def _workspace_for(model, grid, dt, search, workspace):
     return _StepWorkspace(model, grid, dt, search)
 
 
-def _recap(phi: Field, raw: np.ndarray) -> Field:
-    if phi.cap_value is None:
-        return Field(phi.grid, raw)
-    cap = phi.cap_value
-    mask = raw >= cap
-    vals = np.minimum(raw, cap)
-    return Field(phi.grid, vals, cap_mask=mask, cap_value=cap)
-
-
 def _step_values(ws: _StepWorkspace, values: np.ndarray):
-    """Values after one step, and a mask of nodes whose minimizing
-    velocity is an end of the velocity window."""
-    if ws.model.kappa * ws.dt >= 0.5:
-        raise ValueError(
-            f"kappa*dt = {ws.model.kappa * ws.dt:g} >= 0.5 breaks the inner "
-            "contraction; reduce dt"
-        )
+    """Values after one step, a new array, and a mask of nodes whose
+    minimizing velocity is an end of the velocity window."""
     step = _step_affine if ws.affine is not None else _step_generic
     w, v_star = step(ws, values)
     return w, np.abs(v_star) == ws.search.v_max
@@ -437,7 +443,8 @@ def _step_values(ws: _StepWorkspace, values: np.ndarray):
 
 def _step_affine(ws: _StepWorkspace, values):
     best, v_star = ws.window_minimum(values, None)
-    return best / (1.0 - ws.dt * ws.affine), v_star
+    best /= 1.0 - ws.dt * ws.affine
+    return best, v_star
 
 
 def _step_generic(ws: _StepWorkspace, values):
@@ -465,7 +472,8 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
     dt is an upper bound; the actual step is T/steps so the horizon is hit
     exactly.  Uncapped evolutions whose sup-norm exceeds u_cap/2 are
     truncated and flagged as diverged (a legitimate long-time regime),
-    never discarded.
+    never discarded.  A datum with a cap mask but no cap value evolves
+    uncapped.  Raises ValueError when dt breaks kappa*dt < 1/2.
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
@@ -481,26 +489,32 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
             AccuracyWarning, stacklevel=2)
     stride = steps if snapshot_every is None else max(1, round(snapshot_every / dt_eff))
     ws = _workspace_for(model, grid, dt_eff, search, workspace)
+    cap = phi.cap_value
+    half = u_cap / 2.0
     times = [0.0]
     snaps = [phi.copy()]
-    current = phi
+    values, mask = phi.values, None
     diverged = False
     hits = 0
     for k in range(1, steps + 1):
-        raw, edge = _step_values(ws, current.values)
-        current = _recap(current, raw)
-        if current.cap_mask is not None:
-            edge &= ~current.cap_mask
+        values, edge = _step_values(ws, values)
+        if cap is not None:
+            mask = values >= cap
+            np.minimum(values, cap, out=values)
+            edge &= ~mask
         hits += int(np.count_nonzero(edge))
         if k % stride == 0 or k == steps:
             times.append(k * dt_eff)
-            snaps.append(current)
-        if current.cap_value is None and np.max(np.abs(current.values)) > u_cap / 2.0:
-            diverged = True
-            if times[-1] != k * dt_eff:
-                times.append(k * dt_eff)
-                snaps.append(current)
-            break
+            snaps.append(Field(grid, values, mask, cap))
+        # a non-finite sup-norm stops here too: its Field raises ValueError
+        if cap is None:
+            top = float(np.max(np.abs(values)))
+            if top > half or not math.isfinite(top):
+                diverged = True
+                if times[-1] != k * dt_eff:
+                    times.append(k * dt_eff)
+                    snaps.append(Field(grid, values))
+                break
     record = _RUN_RECORD.get()
     if record is not None:
         record.window_hits += hits

@@ -134,9 +134,11 @@ def test_config_error_exit_4(tmp_path):
 @pytest.mark.parametrize("line", [
     "model.V = exp(x", 'model.V = __import__("os").getpid()*0',
     "evolve.phi = sqrt(x)", "model.b = x.real", "model.V = cos(x, 1)",
-    "model.a = x**x"])
+    "model.a = x**x", "evolve.phi = 1/x", "model.V = 1/x",
+    "model.a = 10**400"])
 def test_bad_expression_exit_4(tmp_path, line):
-    # every expression key is checked at parse time, whatever the command
+    # every expression key is checked at parse time, whatever the command;
+    # the last three are in the grammar but not finite on the grid
     cfg = tmp_path / "expr.cfg"
     cfg.write_text(CD_CFG + line + "\n")
     out = str(tmp_path / "out")

@@ -49,6 +49,33 @@ def test_reduced_periodicity_of_shot(cdv_model, cdv_orbit):
     assert abs(u[-1] - u[0]) <= 1e-10
 
 
+def test_shot_keeps_accepted_sweep(cd_model, cdv_model, monkeypatch):
+    # the orbit tables are those of the last accepted Newton sweep: no
+    # extra sweep at the end, and the same tables as a fresh sweep
+    calls = []
+    sweep = flow._graph_sweep
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(flow, "_graph_sweep", counted)
+    for model, guess, n in ((cd_model, (0.1, 0.1), 1024),
+                            (cdv_model, (0.0, 0.0), 512)):
+        del calls[:]
+        orbit = flow.shoot_stationary_orbit(model, guess=guess, n=n)
+        # one sweep for the guess, then two Jacobian sweeps and one accepted
+        # full step per Newton update
+        assert len(calls) == 3 * orbit.newton_iterations - 2
+        t, p, u = flow.integrate_reduced(model, orbit.p0, orbit.u0, n=n)
+        for got, want in ((orbit.t_of_x, t), (orbit.p_of_x, p),
+                          (orbit.u_of_x, u)):
+            assert np.array_equal(got, want)
+    del calls[:]
+    flow.shoot_stationary_orbit(cd_model, guess=(0.1, 0.1))
+    assert len(calls) == 13
+
+
 def test_shoot_cd_exact(cd_orbit):
     assert abs(cd_orbit.p0) <= 1e-10
     assert abs(cd_orbit.u0) <= 1e-10

@@ -14,6 +14,23 @@ from conftest import LAM
 EPS_CD = LAM / (4.0 * math.pi ** 2)
 
 
+# ------------------------------------------------------------------ dilation
+
+@pytest.mark.parametrize("n", [7, 16, 64])
+def test_dilate_matches_roll(n):
+    rng = np.random.default_rng(n)
+    one = np.zeros(n, dtype=bool)
+    one[n // 3] = True
+    for mask in (rng.random(n) < 0.15, np.zeros(n, dtype=bool), one):
+        for radius in range(n + 2):
+            want = mask.copy()
+            for r in range(1, radius + 1):
+                want |= np.roll(mask, r) | np.roll(mask, -r)
+            got = periodic._dilate(mask, radius)
+            assert got.dtype == bool
+            assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------- subsolution
 
 def test_epsilon_constant_drift(cd_model, cd_orbit):

@@ -244,8 +244,113 @@ def test_evolve_bounded_touching_datum(cd_model, grid256):
 
 
 def test_evolve_rejects_contraction_break(cd_model, grid256):
+    # kappa*dt = 0.5 * 1.5 >= 1/2: the workspace refuses to be built, so
+    # neither entry point takes a step
     with pytest.raises(ValueError):
         sg.evolve(cd_model, sg.Field.constant(grid256, 0.0), 1.0, 1.5)
+    with pytest.raises(ValueError):
+        sg.lax_oleinik_step(cd_model, sg.Field.constant(grid256, 0.0), 1.5)
+    with pytest.raises(ValueError):
+        sg._StepWorkspace(cd_model, grid256, 1.5, sg.DEFAULT_SEARCH)
+
+
+def _step_chain(model, phi, T, dt, snapshot_every=None, u_cap=50.0,
+                search=sg.DEFAULT_SEARCH):
+    """evolve's (times, snapshots, window_hits, diverged), rebuilt from
+    single lax_oleinik_step calls; the minimizing velocities come from the
+    full cell block (quadratic models only)."""
+    g = phi.grid
+    steps = max(1, math.ceil(T / dt - 1e-12))
+    dt_eff = T / steps
+    stride = (steps if snapshot_every is None
+              else max(1, round(snapshot_every / dt_eff)))
+    ws = sg._StepWorkspace(model, g, dt_eff, search)
+    times, snaps = [0.0], [phi]
+    current, hits, diverged = phi, 0, False
+    for k in range(1, steps + 1):
+        block, block_v = ws.cell_block(current.values, None)
+        v = block_v[np.arange(g.n), np.argmin(block, axis=1)]
+        current = sg.lax_oleinik_step(model, current, dt_eff, search=search,
+                                      workspace=ws)
+        edge = np.abs(v) == search.v_max
+        if current.cap_mask is not None:
+            edge &= ~current.cap_mask
+        hits += int(np.count_nonzero(edge))
+        if k % stride == 0 or k == steps:
+            times.append(k * dt_eff)
+            snaps.append(current)
+        if (current.cap_value is None
+                and np.max(np.abs(current.values)) > u_cap / 2.0):
+            diverged = True
+            if times[-1] != k * dt_eff:
+                times.append(k * dt_eff)
+                snaps.append(current)
+            break
+    return np.array(times), snaps, hits, diverged
+
+
+def _assert_same_field(got, want):
+    assert np.array_equal(got.values, want.values)
+    assert got.cap_value == want.cap_value
+    if want.cap_mask is None:
+        assert got.cap_mask is None
+    else:
+        assert np.array_equal(got.cap_mask, want.cap_mask)
+
+
+@pytest.mark.parametrize("case", ["uncapped", "snapshots", "pinned",
+                                  "pinned_narrow", "diverges",
+                                  "mask_without_cap", "reach82"])
+def test_evolve_equals_step_chain(cd_model, case):
+    g = sg.Grid(1024 if case == "reach82" else 256)
+    rng = np.random.default_rng(7)
+    phi = random_smooth_field(g, rng)
+    T, dt, every, u_cap = 0.1, g.h, None, 50.0
+    search = sg.DEFAULT_SEARCH
+    if case == "snapshots":
+        every = 0.02
+    elif case.startswith("pinned"):
+        phi = sg.Field.pinned(g, 0.3, 0.1, 50.0)
+        every = 0.03
+        if case == "pinned_narrow":
+            # a window narrower than the drift: capped nodes hit its end too
+            search = sg.SearchParams(v_max=0.5)
+    elif case == "diverges":
+        # 0.6 e^{t/2} passes u_cap/2 = 0.65 near t = 0.16, between snapshots
+        phi, T, every, u_cap = sg.Field.constant(g, 0.6), 1.0, 0.1, 1.3
+    elif case == "mask_without_cap":
+        phi = sg.Field(g, phi.values, cap_mask=rng.random(g.n) < 0.5)
+    elif case == "reach82":
+        phi = sg.Field(g, rng.uniform(-0.1, 0.1, g.n))
+        T, dt = 0.04, 8e-3
+    trace = sg.evolve(cd_model, phi, T, dt, snapshot_every=every, u_cap=u_cap,
+                      search=search)
+    times, snaps, hits, diverged = _step_chain(cd_model, phi, T, dt, every,
+                                               u_cap, search)
+    assert np.array_equal(trace.times, times)
+    assert len(trace.snapshots) == len(snaps)
+    for got, want in zip(trace.snapshots, snaps):
+        _assert_same_field(got, want)
+    assert trace.window_hits == hits
+    assert trace.diverged == diverged
+    assert diverged == (case == "diverges")
+    if case.startswith("pinned"):
+        assert hits > 0
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_evolve_never_writes_datum(cd_model, grid256, pinned):
+    phi = (sg.Field.pinned(grid256, 0.3, 0.1, 50.0) if pinned
+           else random_smooth_field(grid256, np.random.default_rng(3)))
+    before = phi.values.copy()
+    phi.values.flags.writeable = False
+    generic = dataclasses.replace(cd_model, quad_coeffs=None)
+    for model in (cd_model, generic):
+        trace = sg.evolve(model, phi, 8 * grid256.h, grid256.h,
+                          snapshot_every=grid256.h)
+        sg.lax_oleinik_step(model, phi, grid256.h)
+        assert np.array_equal(phi.values, before)
+        assert trace.snapshots[0].values is not phi.values
 
 
 def test_forward_zero_fixed(cd_model, grid256):
