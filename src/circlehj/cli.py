@@ -339,6 +339,8 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             "exit_status": status,
             "accuracy_warnings": accuracy_warnings,
             "window_hits": record.window_hits,
+            "limit_periods": record.limit_periods,
+            "quasi_limits": record.quasi_limits,
         }
         manifest.update({k: v for k, v in extra.items()
                          if isinstance(v, (int, float, str, bool))})

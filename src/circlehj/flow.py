@@ -11,7 +11,11 @@ The stationary smooth solution of H(x, u', u) = 0 is found by shooting:
 where the graph speed dH/dp never vanishes, the orbit of the contact
 system is a graph over the circle, so reparametrizing the characteristic
 ODE by x turns the orbit search into a two-unknown periodic boundary
-value problem for (p(0), u(0)).  A damped Newton iteration closes it.
+value problem for (p(0), u(0)).  A damped Newton iteration closes it,
+one sweep per step: its 2x2 Jacobian comes from the tables of the sweep
+it already ran (``_sweep_jacobian``), as the exact derivative of the RK4
+steps, chained from the field's forward-difference Jacobians at their
+stage points.
 """
 
 from __future__ import annotations
@@ -170,40 +174,46 @@ def _graph_field(model: HamiltonianModel, n, b_min_tol):
     their coefficients from tables at the stage points i/(2n), i = 2k + j,
     so the sweep runs in plain floats; other models call back.  Raises
     TurningPoint when |H_p| drops below b_min_tol.
+
+    Returns (field, array_kw).  Called with the keywords ``array_kw``, the
+    same field takes numpy arrays k, p and u of one shape and evaluates
+    every entry at once: it reads array tables, keeps numpy results and
+    skips the transversality test (a zero tolerance never raises).
     """
     h = 1.0 / n
     half = 0.5 * h
     q = model.quad_coeffs
     if q is None:
-        def field(k, j, t, pv, uv):
+        # Python floats: numpy scalars would slow the sweep's arithmetic
+        def field(k, j, t, pv, uv, real=float, tol=b_min_tol):
             x = k * h + half * j
             hp, dp, hv = _callback_terms(model, x, pv, uv)
-            if abs(hp) < b_min_tol:
-                raise _not_transverse(hp, x, b_min_tol)
-            # Python floats: numpy scalars would slow the sweep's arithmetic
-            inv = 1.0 / float(hp)
-            return inv, inv * float(dp), pv - float(hv) * inv
-        return field
+            if tol and abs(hp) < tol:
+                raise _not_transverse(hp, x, tol)
+            inv = 1.0 / real(hp)
+            return inv, inv * real(dp), pv - real(hv) * inv
+        return field, dict(real=np.asarray, tol=0.0)
 
     xs = np.arange(2 * n + 1) / (2.0 * n)
     A, Ap, B, Bp, Vv, Vp = (np.broadcast_to(np.asarray(f(xs), float), xs.shape)
                             for f in (q.a, q.a_x, q.b, q.b_x, q.V, q.V_x))
-    c_hx = (Vp - 0.5 * Ap * B * B - A * B * Bp).tolist()
-    c_h = (Vv - 0.5 * A * B * B).tolist()
-    A, Ap, B, Bp = A.tolist(), Ap.tolist(), B.tolist(), Bp.tolist()
+    arrays = dict(A=A, Ap=Ap, B=B, Bp=Bp, c_hx=Vp - 0.5 * Ap * B * B - A * B * Bp,
+                  c_h=Vv - 0.5 * A * B * B)
+    A, Ap, B, Bp, c_hx, c_h = (v.tolist() for v in arrays.values())
     lam = float(q.lam)
 
-    def field(k, j, t, pv, uv):
+    def field(k, j, t, pv, uv, A=A, Ap=Ap, B=B, Bp=Bp, c_hx=c_hx, c_h=c_h,
+              tol=b_min_tol):
         i = 2 * k + j
         q = pv + B[i]
         hp = A[i] * q
-        if abs(hp) < b_min_tol:
-            raise _not_transverse(hp, i * half, b_min_tol)
+        if tol and abs(hp) < tol:
+            raise _not_transverse(hp, i * half, tol)
         hx = (0.5 * Ap[i] * q + A[i] * Bp[i]) * q + c_hx[i]
         hval = 0.5 * A[i] * q * q + c_h[i] - lam * uv
         inv = 1.0 / hp
         return inv, inv * (-hx + lam * pv), pv - hval * inv
-    return field
+    return field, dict(arrays, tol=0.0)
 
 
 def _graph_sweep(field, p0, u0, n):
@@ -235,8 +245,52 @@ def integrate_reduced(model: HamiltonianModel, p_start, u_start, n=1024,
     uniform steps; returns the inclusive tables (t, p, u) at x_k = k/n.
     Raises TurningPoint when |H_p| drops below b_min_tol.
     """
-    return _graph_sweep(_graph_field(model, n, b_min_tol), p_start, u_start,
-                        n)
+    return _graph_sweep(_graph_field(model, n, b_min_tol)[0], p_start,
+                        u_start, n)
+
+
+def _sweep_jacobian(field, array_kw, p, u):
+    """d(p(1), u(1))/d(p(0), u(0)) of the sweep whose tables are p and u.
+
+    The field does not depend on t, so only (p, u) carry the derivative.
+    From the tables, the four RK4 stage points of all n cells are rebuilt
+    at once (on the table path by the sweep's own IEEE operations), with
+    the field's 2x2 Jacobian in (p, u) at each by forward differences.
+    The stage Jacobians chain into the exact derivative of each step,
+    D1 = J1, D2 = J2 (I + h/2 D1), D3 = J3 (I + h/2 D2),
+    D4 = J4 (I + h D3), M_k = I + h/6 (D1 + 2 D2 + 2 D3 + D4),
+    and M_{n-1} ... M_0 is multiplied as a pairwise tree.
+    """
+    n = p.size - 1
+    h = 1.0 / n
+    half = 0.5 * h
+    k = np.broadcast_to(np.arange(n), (3, n))
+    y = np.stack([p[:-1], u[:-1]])
+    eye = np.eye(2)
+    # the caller raises TurningPoint on a non-finite Jacobian
+    with np.errstate(all="ignore"):
+        f = D = total = None
+        # (field stage j, step to the stage point, RK4 weight)
+        for j, c, weight in ((0, 0.0, 1.0), (1, half, 2.0), (1, half, 2.0),
+                             (2, h, 1.0)):
+            stage = y if D is None else y + c * f[:, 0]
+            eps = 1e-7 * (1.0 + np.abs(stage))
+            # rows: the stage point, then p and u each stepped by its eps
+            points = np.repeat(stage[:, None], 3, axis=1)
+            points[0, 1] += eps[0]
+            points[1, 2] += eps[1]
+            f = np.stack(field(k, j, None, points[0], points[1],
+                               **array_kw)[1:])
+            # J[i, r, s] = d(field_r)/d(y_s) at the stage point of cell i
+            J = ((f[:, 1:] - f[:, :1]) / eps).transpose(2, 0, 1)
+            D = J if D is None else J @ (eye + c * D)
+            total = weight * D if total is None else total + weight * D
+        mats = eye + (h / 6.0) * total
+        while len(mats) > 1:
+            m = len(mats)
+            pairs = mats[1::2] @ mats[:m - 1:2]
+            mats = np.concatenate([pairs, mats[m - 1:]]) if m % 2 else pairs
+    return mats[0]
 
 
 def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
@@ -249,8 +303,15 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
     converged tables satisfy H = 0 and p = u' automatically.  Multiple
     branches are possible; the solver returns the one reached from the
     caller's guess.  The tables are those of the last accepted sweep.
+
+    Each Newton step takes its Jacobian from the tables of the accepted
+    sweep (``_sweep_jacobian``), so it sweeps only for the damped line
+    search: once per step when the full step is taken.  Raises
+    TurningPoint where the graph speed vanishes (also when that leaves
+    the Jacobian non-finite) and NotConverged when the Jacobian is
+    singular, the damping fails or max_iter steps do not reach newton_tol.
     """
-    field = _graph_field(model, n, b_min_tol)
+    field, array_kw = _graph_field(model, n, b_min_tol)
 
     def shot(qv):
         """(tables, residual) of the sweep from qv = (p0, u0)."""
@@ -269,16 +330,10 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
     for iterations in range(1, max_iter + 1):
         if np.max(np.abs(r)) <= newton_tol:
             break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            eps = 1e-7 * (1.0 + abs(q[j]))
-            qp = q.copy()
-            qp[j] += eps
-            trial = try_shot(qp)
-            if trial is None:
-                raise TurningPoint("graph speed vanished while forming the "
-                                   "shooting Jacobian")
-            jac[:, j] = (trial[1] - r) / eps
+        jac = _sweep_jacobian(field, array_kw, tables[1], tables[2]) - np.eye(2)
+        if not np.all(np.isfinite(jac)):
+            raise TurningPoint("graph speed vanished while forming the "
+                               "shooting Jacobian")
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:

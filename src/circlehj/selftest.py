@@ -16,10 +16,10 @@ import numpy as np
 from . import flow, periodic
 from . import semigroup as sg
 from .errors import FlatObjective
-from .model import (check_assumptions, constant_drift_model,
-                    cosine_potential_model, derivative_consistency,
-                    estimate_critical_value, legendre_transform,
-                    make_quadratic_model)
+from .model import (HamiltonianModel, check_assumptions,
+                    constant_drift_model, cosine_potential_model,
+                    derivative_consistency, estimate_critical_value,
+                    legendre_transform, make_quadratic_model)
 
 EPS_CD = 0.5 / (4.0 * math.pi ** 2)  # subsolution amplitude of CD(1, 0.5)
 
@@ -73,6 +73,46 @@ def check_orbit_cd(model=None):
     if abs(orbit.period - abs(orbit.loop_integral)) > 1e-8:
         return False, "period does not match the loop integral"
     return True, f"orbit (0,0), period {orbit.period:.12f}"
+
+
+def nonaffine_model():
+    """(p+1)^2/2 - 1/2 + 0.1 cos 2 pi x - 0.5 u - 0.05 sin u as callables."""
+    tp = 2.0 * math.pi
+    return HamiltonianModel(
+        eval_H=lambda x, p, u: (0.5 * (p + 1) ** 2 - 0.5
+                                + 0.1 * np.cos(tp * x) - 0.5 * u
+                                - 0.05 * np.sin(u)),
+        d_p=lambda x, p, u: p + 1.0 + 0.0 * (x + u),
+        d_x=lambda x, p, u: -0.1 * tp * np.sin(tp * x) + 0.0 * (p + u),
+        d_u=lambda x, p, u: -0.5 - 0.05 * np.cos(u) + 0.0 * (x + p),
+        d_pp=lambda x, p, u: 1.0 + 0.0 * (x + p + u),
+        kappa=0.55, delta=0.45, name="custom-nonaffine")
+
+
+def sweep_jacobian_error(model, n, q=(0.1, 0.05), e=1e-5):
+    """Relative gap between the sweep Jacobian at q and central differences
+    of whole ``integrate_reduced`` sweeps with step e."""
+    field, array_kw = flow._graph_field(model, n, flow.B_MIN_TOL)
+    _, p, u = flow._graph_sweep(field, q[0], q[1], n)
+    got = flow._sweep_jacobian(field, array_kw, p, u)
+    want = np.empty((2, 2))
+    for j in range(2):
+        ends = []
+        for sign in (1.0, -1.0):
+            qs = np.array(q, dtype=float)
+            qs[j] += sign * e
+            _, ps, us = flow.integrate_reduced(model, qs[0], qs[1], n=n)
+            ends.append(np.array([ps[-1], us[-1]]))
+        want[:, j] = (ends[0] - ends[1]) / (2.0 * e)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def check_shot_jacobian(model=None):
+    models = ([model] if model is not None
+              else [cosine_potential_model(), nonaffine_model()])
+    worst = max(sweep_jacobian_error(m, 256) for m in models)
+    return worst <= 1e-6, (f"sweep Jacobian vs central differences of sweeps: "
+                           f"worst relative {worst:.1e} (tol 1e-6)")
 
 
 def check_step_trivial(model=None):
@@ -264,6 +304,7 @@ FAST_CHECKS = [
     ("assumption-reports", check_assumption_reports),
     ("derivative-consistency", check_derivative_consistency),
     ("orbit-constant-drift", check_orbit_cd),
+    ("shot-jacobian", check_shot_jacobian),
     ("step-trivial", check_step_trivial),
     ("window-minimum-exact", check_window_minimum_exact),
     ("evolve-matches-steps", check_evolve_matches_steps),

@@ -24,7 +24,9 @@ once per workspace, and the finer levels gather their cells from it
 once, with no modulo.  Below 32 columns the whole-window level takes
 every node and is the answer.  Minima at the window ends +-v_max are
 counted as window hits on the trace and added to the RunRecord that
-``recording`` opens (the CLI opens one per command).
+``recording`` opens (the CLI opens one per command).  Every period-map
+limit adds the periods it ran to the same record, and counts itself
+there when it returns quasi-converged.
 
 ``evolve`` keeps the raw values and the cap mask of the running state,
 clips to the cap in place and builds a Field only for a snapshot; the
@@ -191,6 +193,10 @@ class RunRecord:
 
     # EvolutionTrace.window_hits summed over every evolve of the run
     window_hits: int = 0
+    # periods run by every _iterate_to_limit of the run, summed
+    limit_periods: int = 0
+    # limits that _iterate_to_limit returned quasi-converged
+    quasi_limits: int = 0
 
 
 _RUN_RECORD: contextvars.ContextVar = contextvars.ContextVar(
@@ -567,8 +573,11 @@ def _iterate_to_limit(advance, start: Field, tol, n_max, accept_tol):
     best_gap, best = math.inf, None
     n_done = 0
     diverged = False
+    record = _RUN_RECORD.get()
     for n_done in range(1, n_max + 1):
         trace = advance(current)
+        if record is not None:
+            record.limit_periods += 1
         if trace.diverged:
             diverged = True
             break
@@ -589,6 +598,8 @@ def _iterate_to_limit(advance, start: Field, tol, n_max, accept_tol):
         warnings.warn(
             f"limit stagnated at increment {best_gap:g} > tol {tol:g}; "
             "returning the best iterate", AccuracyWarning, stacklevel=3)
+        if record is not None:
+            record.quasi_limits += 1
         return best, history, n_done, True
     raise NotConverged(
         f"increment only reached {best_gap:g} after {n_done} periods "

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from circlehj import flow
+from circlehj import flow, selftest
 from circlehj import semigroup as sg
-from circlehj.model import (HamiltonianModel, constant_drift_model,
-                            cosine_potential_model)
+from circlehj.model import constant_drift_model, cosine_potential_model
 
 LAM = 0.5
 
@@ -32,16 +31,7 @@ def custom_model():
     Legendre momentum numerically, and p* = v - 1 leaves the momentum
     window |p| <= 10 for v < -9.
     """
-    tp = 2.0 * np.pi
-    return HamiltonianModel(
-        eval_H=lambda x, p, u: (0.5 * (p + 1) ** 2 - 0.5
-                                + 0.1 * np.cos(tp * x) - 0.5 * u
-                                - 0.05 * np.sin(u)),
-        d_p=lambda x, p, u: p + 1.0 + 0.0 * (x + u),
-        d_x=lambda x, p, u: -0.1 * tp * np.sin(tp * x) + 0.0 * (p + u),
-        d_u=lambda x, p, u: -0.5 - 0.05 * np.cos(u) + 0.0 * (x + p),
-        d_pp=lambda x, p, u: 1.0 + 0.0 * (x + p + u),
-        kappa=0.55, delta=0.45, name="custom-nonaffine")
+    return selftest.nonaffine_model()
 
 
 @pytest.fixture(scope="session")

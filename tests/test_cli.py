@@ -94,6 +94,8 @@ def test_orbit_command_and_determinism(cd_cfg_path, tmp_path):
     meta = manifest_of(out1)
     assert meta["exit_status"] == 0
     assert meta["period"] == pytest.approx(1.0, abs=1e-8)
+    # no limit is taken: the counters are reported as zero
+    assert (meta["limit_periods"], meta["quasi_limits"]) == (0, 0)
     for name in meta["files"]:
         assert os.path.exists(os.path.join(out1, name))
 
@@ -236,6 +238,17 @@ def test_periodic_command(tmp_path):
     assert float(report["amplitude"]) > 0.0
     with open(os.path.join(out, "plot.gp")) as fh:
         assert "periodic.csv" in fh.read()
+
+
+def test_periodic_command_counts_limits(tmp_path):
+    # the shipped cosine-potential config's pinned limit stagnates above tol
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "cosine_potential.cfg")
+    out = str(tmp_path / "per_cos")
+    assert cli.main(["periodic", "--config", cfg, "--out", out]) == 0
+    meta = manifest_of(out)
+    assert meta["quasi_limits"] >= 1
+    assert meta["limit_periods"] >= 3
 
 
 def test_trichotomy_command(tmp_path):

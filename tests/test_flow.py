@@ -8,6 +8,7 @@ from circlehj.errors import BlowUp, TurningPoint
 from circlehj.golden import CDV_ORBIT
 from circlehj.model import (conjugate_model, make_quadratic_model,
                             shift_hamiltonian)
+from circlehj.selftest import sweep_jacobian_error
 
 
 def test_integrate_contact_cd_winding(cd_model):
@@ -64,16 +65,88 @@ def test_shot_keeps_accepted_sweep(cd_model, cdv_model, monkeypatch):
                             (cdv_model, (0.0, 0.0), 512)):
         del calls[:]
         orbit = flow.shoot_stationary_orbit(model, guess=guess, n=n)
-        # one sweep for the guess, then two Jacobian sweeps and one accepted
-        # full step per Newton update
-        assert len(calls) == 3 * orbit.newton_iterations - 2
+        # one sweep for the guess, then one accepted full step per Newton
+        # update: the Jacobian comes from the accepted sweep's tables
+        assert len(calls) == orbit.newton_iterations
         t, p, u = flow.integrate_reduced(model, orbit.p0, orbit.u0, n=n)
         for got, want in ((orbit.t_of_x, t), (orbit.p_of_x, p),
                           (orbit.u_of_x, u)):
             assert np.array_equal(got, want)
     del calls[:]
     flow.shoot_stationary_orbit(cd_model, guess=(0.1, 0.1))
-    assert len(calls) == 13
+    assert len(calls) == 5
+
+
+def test_shot_jacobian_matches_sweep_differences(cdv_model, custom_model):
+    # at a point that is not a root, on the table path, its callback
+    # replica, variable coefficients and a model not affine in u
+    varying = make_quadratic_model("1+0.3*sin(2*pi*x)", "1+0.2*cos(2*pi*x)",
+                                   "0.1*cos(4*pi*x)", 0.5)
+    for model in (cdv_model, replace(cdv_model, quad_coeffs=None), varying,
+                  custom_model):
+        for n in (1, 3, 256):
+            assert sweep_jacobian_error(model, n, q=(0.1, 0.05)) <= 1e-6
+
+
+def test_nonfinite_sweep_jacobian_raises_turning_point(cdv_model):
+    # finite at the sweep's float points, not at the Jacobian's array
+    # points: the Newton step must not solve with a non-finite Jacobian
+    base = replace(cdv_model, quad_coeffs=None)
+
+    def d_u(x, p, u):
+        if np.ndim(p) == 0:
+            return base.d_u(x, p, u)
+        return np.full(np.shape(p), np.nan)
+
+    with pytest.raises(TurningPoint, match="shooting Jacobian"):
+        flow.shoot_stationary_orbit(replace(base, d_u=d_u), n=64)
+
+
+def _fd_shot(model, guess, n, newton_tol=1e-12, max_iter=100):
+    """((p0, u0), Newton iterations) of the shot whose Jacobian takes two
+    extra sweeps per step.
+
+    The reference for the sweep Jacobian: forward differences of whole
+    sweeps with step 1e-7 (1 + |q_j|), the same damping and stopping rule.
+    """
+    def residual(qv):
+        _, p, u = flow.integrate_reduced(model, qv[0], qv[1], n=n)
+        return np.array([p[-1] - qv[0], u[-1] - qv[1]])
+
+    q = np.array(guess, dtype=float)
+    r = residual(q)
+    for iterations in range(1, max_iter + 1):
+        if np.max(np.abs(r)) <= newton_tol:
+            return q, iterations
+        jac = np.empty((2, 2))
+        for j in range(2):
+            eps = 1e-7 * (1.0 + abs(q[j]))
+            qp = q.copy()
+            qp[j] += eps
+            jac[:, j] = (residual(qp) - r) / eps
+        step = np.linalg.solve(jac, -r)
+        for scale in 0.5 ** np.arange(9):
+            try:
+                trial = residual(q + scale * step)
+            except (TurningPoint, BlowUp):
+                continue
+            if np.max(np.abs(trial)) < np.max(np.abs(r)):
+                q, r = q + scale * step, trial
+                break
+        else:
+            raise AssertionError("reference shot failed to damp")
+    raise AssertionError("reference shot did not converge")
+
+
+@pytest.mark.parametrize("n", [1, 3, 255])
+def test_shot_matches_difference_jacobian_shot(cdv_model, custom_model, n):
+    # one cell and odd cell counts: the tree product carries an odd matrix
+    for model in (cdv_model, custom_model):
+        orbit = flow.shoot_stationary_orbit(model, n=n)
+        want, iterations = _fd_shot(model, (0.0, 0.0), n)
+        assert orbit.newton_iterations == iterations
+        assert abs(orbit.p0 - want[0]) <= 1e-12
+        assert abs(orbit.u0 - want[1]) <= 1e-12
 
 
 def test_shoot_cd_exact(cd_orbit):

@@ -651,20 +651,25 @@ def test_limit_turn_around_returns_best():
     gaps = [2.0 ** -6, 2.0 ** -4, 2.0 ** -7, 2.0 ** -5, 1.0]
     advance, calls = scripted(gaps)
     start = sg.Field.constant(sg.Grid(64), 0.0)
-    with pytest.warns(sg.AccuracyWarning):
+    record = sg.RunRecord()
+    with pytest.warns(sg.AccuracyWarning), sg.recording(record):
         state, history, n_done, quasi = sg._iterate_to_limit(
             advance, start, 2.0 ** -20, 10, 2.0 ** -7)
     assert history == gaps[:4]
     assert (n_done, quasi, len(calls)) == (4, True, 4)
+    assert (record.limit_periods, record.quasi_limits) == (4, 1)
     assert np.all(state.values == sum(gaps[:3]))
 
 
 def test_limit_not_converged_above_accept_tol():
     start = sg.Field.constant(sg.Grid(64), 0.0)
     advance, calls = scripted([2.0 ** -6, 2.0 ** -4, 2.0 ** -7, 2.0 ** -5])
-    with pytest.raises(NotConverged):
+    record = sg.RunRecord()
+    with pytest.raises(NotConverged), sg.recording(record):
         sg._iterate_to_limit(advance, start, 2.0 ** -20, 10, 2.0 ** -8)
     assert len(calls) == 4
+    # the periods of a failed limit were run all the same
+    assert (record.limit_periods, record.quasi_limits) == (4, 0)
     # a spent budget ends the same way
     advance, calls = scripted([2.0 ** -1, 2.0 ** -2])
     with pytest.raises(NotConverged):
