@@ -9,7 +9,9 @@ problem.  A manifest is written even when a command fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import logging
 import math
 import os
 import sys
@@ -30,6 +32,8 @@ _CONVERGENCE_ERRORS = (errors.NotConverged, errors.InnerNotConverged,
                        errors.BracketFail, errors.BlowUp,
                        errors.NotNontrivial, errors.FlatObjective,
                        errors.NoBracket)
+
+_log = logging.getLogger("circlehj")
 
 COMMANDS = ("check-model", "orbit", "evolve", "weak-kam", "action",
             "subsolution", "periodic", "trichotomy", "bifurcate")
@@ -292,16 +296,28 @@ def run_command(command, config_path, out_dir, normalize_c=False,
     status = 0
     extra = {}
     cfg_hash = ""
-    caught: list = []
+    accuracy_warnings = 0
     record = sg.RunRecord()
+    show = warnings.showwarning
+
+    def count_accuracy(message, category, *args, **kwargs):
+        # AccuracyWarnings are counted and logged as they happen; others
+        # are shown as usual
+        nonlocal accuracy_warnings
+        if issubclass(category, sg.AccuracyWarning):
+            accuracy_warnings += 1
+            _log.info("AccuracyWarning: %s", message)
+        else:
+            show(message, category, *args, **kwargs)
+
     try:
         os.makedirs(out_dir, exist_ok=True)
         cfg = load_config(config_path)
         cfg_hash = cfg.hash()
         model = build_model(cfg)
-        with warnings.catch_warnings(record=True) as caught, \
-                sg.recording(record):
+        with warnings.catch_warnings(), sg.recording(record):
             warnings.simplefilter("always", sg.AccuracyWarning)
+            warnings.showwarning = count_accuracy
             if normalize_c:
                 c = estimate_critical_value(model, search=_search_params(cfg))
                 model = shift_hamiltonian(model, c)
@@ -322,13 +338,6 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             traceback.print_exc()
     finally:
         extra.pop("slice_times", None)
-        accuracy_warnings = 0
-        for w in caught:
-            if issubclass(w.category, sg.AccuracyWarning):
-                accuracy_warnings += 1
-            else:
-                warnings.showwarning(w.message, w.category, w.filename,
-                                     w.lineno)
         ended = datetime.datetime.now(datetime.timezone.utc).isoformat()
         manifest = {
             "command": command,
@@ -349,6 +358,10 @@ def run_command(command, config_path, out_dir, normalize_c=False,
                                       manifest)
         except OSError:
             pass
+        _log.info("%s: exit %d, window hits %d, limit periods %d, quasi "
+                  "limits %d, accuracy warnings %d", command, status,
+                  record.window_hits, record.limit_periods,
+                  record.quasi_limits, accuracy_warnings)
     return status
 
 
@@ -363,21 +376,39 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".")
         p.add_argument("--normalize-c", action="store_true")
         p.add_argument("--plot", action="store_true")
+        p.add_argument("--verbose", action="store_true")
     st = sub.add_parser("selftest")
     st.add_argument("--level", choices=("fast", "full"), default="fast")
+    st.add_argument("--verbose", action="store_true")
     return parser
+
+
+@contextlib.contextmanager
+def _log_to_stderr():
+    """Stream the package's INFO records to stderr for one command."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = _log.level
+    _log.addHandler(handler)
+    _log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        _log.removeHandler(handler)
+        _log.setLevel(level)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest":
-        failures = run_selftest(args.level)
-        if failures:
-            sys.stderr.write(f"{failures} check(s) failed\n")
-            return 1
-        return 0
-    return run_command(args.command, args.config, args.out,
-                       normalize_c=args.normalize_c, plot=args.plot)
+    with _log_to_stderr() if args.verbose else contextlib.nullcontext():
+        if args.command == "selftest":
+            failures = run_selftest(args.level)
+            if failures:
+                sys.stderr.write(f"{failures} check(s) failed\n")
+                return 1
+            return 0
+        return run_command(args.command, args.config, args.out,
+                           normalize_c=args.normalize_c, plot=args.plot)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,9 @@ class SearchParams:
 
     Extremizers are sought inside |v| <= v_max, |p| <= p_max; the
     structural checks sample values in |u| <= u_max.  inner_tol and
-    inner_max_iter bound the value fixed point of the evolution step.
+    inner_max_iter bound the value fixed point of the evolution step:
+    inner_max_iter caps its full window sweeps and each frozen-cell round
+    between them.
     """
 
     v_max: float = 10.0
@@ -366,10 +368,12 @@ def solve_p_star_batch(model, x, v, u, p_max=10.0, tol=1e-12, max_iter=60):
 
     Newton from p = 0 with Hessian floor until every element is settled:
     converged, or clamped at -p_max (p_max) with d_p - v still positive
-    (negative), a fixed point of the clipped step for convex H.  Clamped
-    elements stay exactly at +-p_max; callers needing strict bracketing
-    use legendre_transform instead.  A bisection cleanup then runs only
-    on unconverged elements whose root the window brackets.
+    (negative), a fixed point of the clipped step for convex H.  A settled
+    element is never stepped again, so each momentum is the one a solve of
+    that element alone returns, whatever its batch.  Clamped elements stay
+    exactly at +-p_max; callers needing strict bracketing use
+    legendre_transform instead.  A bisection cleanup then runs only on
+    unconverged elements whose root the window brackets.
     """
     x, v, u = np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float),
                                   np.asarray(u, float))
@@ -382,7 +386,7 @@ def solve_p_star_batch(model, x, v, u, p_max=10.0, tol=1e-12, max_iter=60):
         if np.all(settled):
             break
         hess = np.maximum(model.d_pp(x, p, u), 1e-14)
-        p = np.clip(p - g / hess, -p_max, p_max)
+        p = np.where(settled, p, np.clip(p - g / hess, -p_max, p_max))
     else:
         g = model.d_p(x, p, u) - v
     bad = np.abs(g) > 1e-9 * scale

@@ -137,12 +137,39 @@ def check_window_minimum_exact(model=None):
         u = rng.uniform(-0.1, 0.1, n)
         block, block_v = ws.cell_block(phi, u)
         first = np.argmin(block, axis=1)
-        best, v_star = ws.window_minimum(phi, u)
+        best, v_star, _ = ws.window_minimum(phi, u)
         if not (np.array_equal(best, block[np.arange(n), first])
                 and np.array_equal(v_star, block_v[np.arange(n), first])):
             return False, (f"strided search differs from the full "
                            f"{n}x{ws.offset.size} cell block at dt = {dt:g}")
     return True, "strided search equals the full cell block bit for bit"
+
+
+def check_generic_step_certified(model=None):
+    model = model or nonaffine_model()
+    g = sg.Grid(128)
+    rng = np.random.default_rng(2)
+    search = sg.DEFAULT_SEARCH
+    ws = sg._StepWorkspace(model, g, 1.0 / 16, search)
+    for values in (0.1 * np.cos(2 * np.pi * g.nodes),
+                   rng.uniform(-0.1, 0.1, g.n)):
+        w = sg.lax_oleinik_step(model, sg.Field(g, values), ws.dt,
+                                workspace=ws).values
+        residual = float(np.max(np.abs(ws.window_minimum(values, w)[0] - w)))
+        # the plain iteration w = g(w) of full sweeps, from the datum
+        plain = values
+        for _ in range(search.inner_max_iter):
+            nxt = ws.window_minimum(values, plain)[0]
+            done = float(np.max(np.abs(nxt - plain))) < search.inner_tol
+            plain = nxt
+            if done:
+                break
+        gap = float(np.max(np.abs(w - plain)))
+        if residual >= search.inner_tol or gap > 1e-12:
+            return False, (f"step residual {residual:.1e}, gap to plain "
+                           f"iteration {gap:.1e} (tols {search.inner_tol:g}, "
+                           "1e-12)")
+    return True, "generic step is a certified fixed point of the full sweep"
 
 
 def check_evolve_matches_steps(model=None):
@@ -307,6 +334,7 @@ FAST_CHECKS = [
     ("shot-jacobian", check_shot_jacobian),
     ("step-trivial", check_step_trivial),
     ("window-minimum-exact", check_window_minimum_exact),
+    ("generic-step-certified", check_generic_step_certified),
     ("evolve-matches-steps", check_evolve_matches_steps),
     ("subsolution-constant-drift", check_subsolution_cd),
     ("min-shift-synthetic", check_minshift_synthetic),

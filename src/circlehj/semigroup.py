@@ -8,7 +8,14 @@ with periodic monotone linear interpolation I and the u-argument of the
 Lagrangian resolved implicitly: the arrival value, iterated to a fixed
 point from the datum (a contraction as long as kappa * dt < 1/2).  For
 the quadratic family, whose Lagrangian is affine in u, the fixed point
-collapses to a closed form, which the stepper exploits.
+collapses to a closed form, which the stepper exploits.  Any other model
+takes two full window sweeps around a frozen-cell secant: the sweep at
+the datum fixes each node's minimizing cell, a per-node secant solves
+the fixed point on those cells alone (one cell and one Legendre batch
+per node), and a second full sweep certifies the result by the rule of
+plain iteration, starting another frozen round if a cell moved.  The
+numeric Legendre momenta do not depend on their batch, so where no cell
+moved the certifying sweep reproduces the frozen values bit for bit.
 
 The velocity search takes the exact minimum over the whole window
 |v| <= v_max: on each grid cell the foot crosses, the objective is convex
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,6 +62,9 @@ from .errors import (BracketFail, CapTooSmall, InnerNotConverged,
 from .flow import BLOW_LIMIT, _rk4_step, contact_field
 from .model import (DEFAULT_SEARCH, HamiltonianModel, SearchParams,
                     conjugate_model, solve_p_star_batch)
+
+_log = logging.getLogger(__name__)
+
 
 class AccuracyWarning(UserWarning):
     """Configuration degrades accuracy (never stability)."""
@@ -272,6 +283,7 @@ class _StepWorkspace:
         # tables broadcast to its (rows, columns) shape once, since
         # same-shape operands run faster than broadcast ones
         self._wrap = np.arange(self.offset[0], n + self.offset[-1] + 1) % n
+        self._node_index = np.arange(n)
         self._ext = np.empty(n + width)
         self._slope = np.empty(n + width - 1)
         # the whole-window level scans rows 0, s, 2s, ...; each finer level
@@ -371,7 +383,8 @@ class _StepWorkspace:
         only the cells between the argmin cells of the node's two
         neighbours, plus one cell on each side: a minimum on a grid node
         is shared by two cells whose values differ by round-off.  Ties go
-        to the leftmost cell.
+        to the leftmost cell.  Returns the minima, their velocities and
+        each node's window column of its minimizing cell.
         """
         n, s, width = self.grid.n, self.stride, self.offset.size
         self._load(values)
@@ -379,7 +392,7 @@ class _StepWorkspace:
         total, vv = self._cell_minimum(*self._coarse, u, rows[:, None])
         j = np.argmin(total, axis=1)
         if s == 1:
-            return total[at, j], vv[at, j]
+            return total[at, j], vv[at, j], j
         best, v_star = np.empty(n), np.empty(n)
         # padded position i + j of each node's argmin cell; entry n is
         # node 0 one turn on
@@ -407,7 +420,17 @@ class _StepWorkspace:
             at = hits[np.searchsorted(hits, starts)]
             best[s::2 * s], v_star[s::2 * s] = low, vv[at]
             col[s:n:2 * s] = rows + j[at]
-        return best, v_star
+        return best, v_star, col[:n] - self._node_index
+
+    def frozen_cells(self, j):
+        """The map u -> cell minima and velocities of each node i in its
+        window column j[i] only, read from the datum the last
+        window_minimum loaded."""
+        i = self._node_index
+        pos = i + j
+        cells = (self._ext[pos], self._slope[pos],
+                 np.take(self._columns, j, axis=1), self._nodes)
+        return lambda u: self._cell_minimum(*cells, u, i)
 
 
 def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
@@ -448,25 +471,64 @@ def _step_values(ws: _StepWorkspace, values: np.ndarray):
 
 
 def _step_affine(ws: _StepWorkspace, values):
-    best, v_star = ws.window_minimum(values, None)
+    best, v_star, _ = ws.window_minimum(values, None)
     best /= 1.0 - ws.dt * ws.affine
     return best, v_star
 
 
 def _step_generic(ws: _StepWorkspace, values):
-    """Value fixed point w = window minimum with L evaluated at u = w,
-    started from the datum."""
-    w = values
-    for _ in range(ws.search.inner_max_iter):
-        w_new, v_star = ws.window_minimum(values, w)
-        delta = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        if delta < ws.search.inner_tol:
-            return w, v_star
+    """Value fixed point w = g(w), g the window minimum with L evaluated at
+    u = w, started from the datum.
+
+    Node i's minimum reads u at node i only, so the fixed point is n
+    scalar equations w_i = g_i(w_i), each with slope at most kappa dt
+    < 1/2.  A full sweep g(w) also gives each node's minimizing cell;
+    with those cells frozen, the map costs one cell per node, and a
+    per-node secant solves it (``_frozen_fixed_point``).  The next full
+    sweep, at that solution w, certifies it by the rule of plain
+    iteration: it returns g(w) once max|g(w) - w| < inner_tol, and
+    otherwise its cells start the next frozen round.  A sweep that does
+    not move less than the sweep before it ends the frozen rounds: the
+    step carries on with plain sweeps w = g(w).  inner_max_iter bounds
+    the full sweeps.
+    """
+    search = ws.search
+    w, last, plain = values, math.inf, False
+    for _ in range(search.inner_max_iter):
+        g, v_star, j = ws.window_minimum(values, w)
+        delta = float(np.max(np.abs(g - w)))
+        if delta < search.inner_tol:
+            return g, v_star
+        plain = plain or delta >= last
+        w = g if plain else _frozen_fixed_point(ws.frozen_cells(j), w, g,
+                                                search)
+        last = delta
     raise InnerNotConverged(
         f"inner value iteration still moving by {delta:g} after "
-        f"{ws.search.inner_max_iter} sweeps"
+        f"{search.inner_max_iter} sweeps"
     )
+
+
+def _frozen_fixed_point(cells, w0, g0, search):
+    """Per-node secant on w = cells(w)[0], from the pair g0 = cells(w0)[0].
+
+    Returns the first iterate w with max|cells(w)[0] - w| < inner_tol, or
+    the last of inner_max_iter.  A node takes the plain step w = cells(w)
+    where the secant slope is not finite or not below 1/2 in size, which
+    the contraction bound rules out but round-off does not.
+    """
+    w_prev, g_prev, w = w0, g0, g0
+    for _ in range(search.inner_max_iter):
+        g = cells(w)[0]
+        f = g - w
+        if float(np.max(np.abs(f))) < search.inner_tol:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (g - g_prev) / (w - w_prev)
+            secant = w + f / (1.0 - slope)
+        w_prev, g_prev = w, g
+        w = np.where(np.abs(slope) < 0.5, secant, g)
+    return w
 
 
 def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
@@ -524,6 +586,9 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
     record = _RUN_RECORD.get()
     if record is not None:
         record.window_hits += hits
+    if hits:
+        _log.info("evolve %s to t = %.6g: %d window hits", model.name,
+                  times[-1], hits)
     return EvolutionTrace(np.array(times), snaps, model.name, dt_eff,
                           diverged=diverged, window_hits=hits)
 
@@ -591,6 +656,7 @@ def _iterate_to_limit(advance, start: Field, tol, n_max, accept_tol):
         if gap < best_gap:
             best_gap, best = gap, nxt
         if gap <= tol:
+            _log_limit("converged", n_done, history)
             return nxt, history, n_done, False
         if len(history) >= 3 and gap > 2.0 * best_gap:
             break
@@ -600,11 +666,18 @@ def _iterate_to_limit(advance, start: Field, tol, n_max, accept_tol):
             "returning the best iterate", AccuracyWarning, stacklevel=3)
         if record is not None:
             record.quasi_limits += 1
+        _log_limit("quasi-converged", n_done, history)
         return best, history, n_done, True
+    _log_limit("diverged" if diverged else "not converged", n_done, history)
     raise NotConverged(
         f"increment only reached {best_gap:g} after {n_done} periods "
         f"(tol {tol:g}, accept {accept_tol:g})"
         + ("; the evolution diverged" if diverged else ""))
+
+
+def _log_limit(outcome, periods, history):
+    _log.info("period-map limit %s after %d periods, last increment %s",
+              outcome, periods, f"{history[-1]:.3g}" if history else "none")
 
 
 def weak_kam_forward(model: HamiltonianModel, grid: Grid, tol=1e-6, t_max=80.0,

@@ -1,4 +1,6 @@
+import glob
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -278,6 +280,51 @@ def test_bifurcate_command(tmp_path):
             cells = line.strip().split(",")
             rows[float(cells[0])] = cells[1]
     assert rows == {-0.2: "fixed_point", 0.0: "degenerate", 0.2: "periodic"}
+
+
+SHIPPED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("cfg", SHIPPED, ids=os.path.basename)
+def test_bifurcate_runs_on_every_shipped_config(cfg, tmp_path):
+    out = str(tmp_path / "bif")
+    assert cli.main(["bifurcate", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "bifurcation.csv")) as fh:
+        assert len(fh.read().splitlines()) == 1 + 5
+
+
+def test_verbose_streams_events_and_keeps_outputs(tmp_path, capsys):
+    # --verbose streams the run's events to stderr and changes no output:
+    # data files identical, the manifest identical but for its timestamps
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("model.lambda = 0.5\nbifurcate.lambdas = -0.2,0.2\n"
+                   "bifurcate.grid_n = 128\n")
+    logger = logging.getLogger("circlehj")
+    handlers = list(logger.handlers)
+    outputs = []
+    for k, flag in enumerate(([], ["--verbose"], ["--verbose"])):
+        out = str(tmp_path / f"out{k}")
+        assert cli.main(["bifurcate", "--config", str(cfg), "--out", out,
+                         "--normalize-c"] + flag) == 0
+        assert logger.handlers == handlers
+        files = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name)) as fh:
+                files[name] = [line for line in fh.read().splitlines()
+                               if not line.lstrip().startswith(
+                                   ('"started"', '"ended"'))]
+        outputs.append(files)
+        err = capsys.readouterr().err
+        if not flag:
+            assert err == ""
+            continue
+        assert "period-map limit" in err and "window hits" in err
+        assert "AccuracyWarning: dt = " in err
+        # a repeated in-process run logs each record once: no stacked handler
+        assert err.count("bifurcate: exit 0") == 1
+    assert {"bifurcation.csv", "bifurcation.json", "manifest"} <= set(outputs[0])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_normalize_c_flag(tmp_path):

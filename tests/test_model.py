@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from circlehj.errors import NoBracket, NonPositiveA, NotConverged
-from circlehj.model import (check_assumptions, compile_expression,
-                            conjugate_model, constant_drift_model,
-                            cosine_potential_model,
+from circlehj.model import (HamiltonianModel, check_assumptions,
+                            compile_expression, conjugate_model,
+                            constant_drift_model, cosine_potential_model,
                             derivative_consistency, estimate_critical_value,
                             freeze_classical, lagrangian, legendre_transform,
                             make_quadratic_model, shift_hamiltonian,
@@ -197,6 +197,26 @@ def test_p_star_batch_settles_clamped_momenta(custom_model):
     assert clamped.sum() == 896
     assert np.all(p[clamped] == -10.0)
     assert np.max(np.abs(p - (v - 1.0))[~clamped]) <= 1e-12
+
+
+def test_p_star_batch_independent_of_batch():
+    # H = p^4/4 + p^2/2 - 0.3 u: Newton takes a different number of steps
+    # per element, and a settled element must not take the batch's extra
+    # steps; each momentum equals its one-element solve bit for bit
+    quartic = HamiltonianModel(
+        eval_H=lambda x, p, u: p ** 4 / 4 + p ** 2 / 2 - 0.3 * u,
+        d_p=lambda x, p, u: p ** 3 + p + 0.0 * (x + u),
+        d_x=lambda x, p, u: 0.0 * (x + p + u),
+        d_u=lambda x, p, u: -0.3 + 0.0 * (x + p + u),
+        d_pp=lambda x, p, u: 3.0 * p ** 2 + 1.0 + 0.0 * (x + u),
+        kappa=0.3, delta=0.3, name="quartic")
+    rng = np.random.default_rng(7)
+    x, v, u = (rng.uniform(0.0, 1.0, 200), rng.uniform(-20.0, 20.0, 200),
+               rng.uniform(-1.0, 1.0, 200))
+    batch = solve_p_star_batch(quartic, x, v, u)
+    alone = [solve_p_star_batch(quartic, x[k:k + 1], v[k:k + 1],
+                                u[k:k + 1])[0] for k in range(200)]
+    assert np.array_equal(batch, alone)
 
 
 def test_make_quadratic_rejects_nonpositive_a():

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlehj import semigroup as sg
-from circlehj.errors import BracketFail, CapTooSmall, NotConverged
+from circlehj.errors import (BracketFail, CapTooSmall, InnerNotConverged,
+                             NotConverged)
 from circlehj.flow import BLOW_LIMIT
-from circlehj.model import (conjugate_model, constant_drift_model,
-                            make_quadratic_model)
+from circlehj.model import (HamiltonianModel, conjugate_model,
+                            constant_drift_model, make_quadratic_model)
 
 from conftest import LAM, cd_pinned_action_exact, random_smooth_field
 
@@ -86,7 +87,8 @@ def test_step_reaches_window_minimum(cd_model, cdv_model, custom_model, n,
         for values in [phi] + [f.values for f in pinned]:
             block, block_v = ws.cell_block(values, u)
             j = np.argmin(block, axis=1)
-            best, v_star = ws.window_minimum(values, u)
+            best, v_star, cols = ws.window_minimum(values, u)
+            assert np.array_equal(cols, j)
             assert np.array_equal(best, block.min(axis=1))
             assert np.array_equal(v_star, block_v[np.arange(n), j])
         if model.quad_coeffs is None:
@@ -149,6 +151,111 @@ def test_generic_paths_match_on_rough_data(cd_model):
     generic = dataclasses.replace(cd_model, quad_coeffs=None)
     slow = sg.lax_oleinik_step(generic, phi, 8e-3).values
     assert np.max(np.abs(slow - exact)) <= 1e-10
+
+
+def plain_step(ws, values):
+    """Reference generic step: plain iteration w = g(w) of full window
+    sweeps from the datum, stopped at max|g(w) - w| < inner_tol."""
+    w = values
+    for _ in range(ws.search.inner_max_iter):
+        g, v_star, _ = ws.window_minimum(values, w)
+        delta = float(np.max(np.abs(g - w)))
+        w = g
+        if delta < ws.search.inner_tol:
+            return w, v_star
+    raise AssertionError("plain iteration did not converge")
+
+
+def u_drift_model():
+    """p^2/2 + (1 + 0.05 sin u) p - u: the minimizing velocity moves with u,
+    so a minimizing cell can change between the sweeps of one step."""
+    return HamiltonianModel(
+        eval_H=lambda x, p, u: 0.5 * p ** 2 + (1.0 + 0.05 * np.sin(u)) * p - u,
+        d_p=lambda x, p, u: p + 1.0 + 0.05 * np.sin(u) + 0.0 * x,
+        d_x=lambda x, p, u: 0.0 * (x + p + u),
+        d_u=lambda x, p, u: 0.05 * np.cos(u) * p - 1.0 + 0.0 * x,
+        d_pp=lambda x, p, u: 1.0 + 0.0 * (x + p + u),
+        kappa=1.5, delta=0.5, name="u-drift")
+
+
+def counted_sweeps(monkeypatch):
+    calls = []
+    window_minimum = sg._StepWorkspace.window_minimum
+
+    def counted(self, *args):
+        calls.append(1)
+        return window_minimum(self, *args)
+
+    monkeypatch.setattr(sg._StepWorkspace, "window_minimum", counted)
+    return calls
+
+
+def test_generic_step_matches_plain_iteration(cd_model, custom_model):
+    g = sg.Grid(128)
+    rng = np.random.default_rng(3)
+    smooth = random_smooth_field(g, rng).values
+    rough = rng.uniform(-0.1, 0.1, g.n)
+    pinned = sg.Field.pinned(g, 0.25, 0.3, 120.0)
+    replica = dataclasses.replace(cd_model, quad_coeffs=None)
+    for model in (custom_model, replica):
+        # kappa dt = 0.45 reaches every cell of the circle
+        for dt in (g.h, 1.0 / 16, 0.45 / model.kappa):
+            ws = sg._StepWorkspace(model, g, dt, sg.DEFAULT_SEARCH)
+            stepped = sg.lax_oleinik_step(model, pinned, dt, workspace=ws)
+            for values in (smooth, rough, pinned.values, stepped.values):
+                got, got_v = sg._step_generic(ws, values)
+                want, want_v = plain_step(ws, values)
+                assert np.max(np.abs(got - want)) <= 1e-12
+                assert np.max(np.abs(got_v - want_v)) <= 1e-12
+
+
+def test_generic_step_two_sweeps_on_smooth_data(custom_model, monkeypatch):
+    g = sg.Grid(128)
+    phi = random_smooth_field(g, np.random.default_rng(4))
+    calls = counted_sweeps(monkeypatch)
+    steps = 4
+    sg.evolve(custom_model, phi, steps / 16, 1.0 / 16)
+    assert len(calls) == 2 * steps
+
+
+def test_generic_step_second_frozen_round(monkeypatch):
+    # on rough data a minimizing cell moves between the datum's sweep and
+    # the fixed point; the certifying sweep then starts another frozen round
+    model = u_drift_model()
+    g = sg.Grid(128)
+    ws = sg._StepWorkspace(model, g, 1.0 / 16, sg.DEFAULT_SEARCH)
+    values = np.random.default_rng(0).uniform(-0.1, 0.1, g.n)
+    want, want_v = plain_step(ws, values)
+    calls = counted_sweeps(monkeypatch)
+    got, got_v = sg._step_generic(ws, values)
+    assert len(calls) >= 3
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got_v - want_v)) <= 1e-12
+
+
+def test_certifying_sweep_reproduces_frozen_cells():
+    # with momenta independent of their batch, a full sweep gives the
+    # frozen-cell value bit for bit at every node whose cell did not move
+    model = u_drift_model()
+    g = sg.Grid(128)
+    ws = sg._StepWorkspace(model, g, 1.0 / 16, sg.DEFAULT_SEARCH)
+    values = np.random.default_rng(0).uniform(-0.1, 0.1, g.n)
+    first, _, cols = ws.window_minimum(values, values)
+    cells = ws.frozen_cells(cols)
+    frozen, frozen_v = cells(first)
+    best, v_star, moved_cols = ws.window_minimum(values, first)
+    kept = cols == moved_cols
+    assert 0 < np.count_nonzero(kept) < g.n
+    assert np.array_equal(frozen[kept], best[kept])
+    assert np.array_equal(frozen_v[kept], v_star[kept])
+
+
+def test_generic_step_inner_not_converged(custom_model):
+    g = sg.Grid(128)
+    phi = random_smooth_field(g, np.random.default_rng(5))
+    one = sg.SearchParams(inner_max_iter=1)
+    with pytest.raises(InnerNotConverged, match="after 1 sweeps"):
+        sg.lax_oleinik_step(custom_model, phi, 1.0 / 16, search=one)
 
 
 def test_replace_without_record_takes_generic_path(cd_model, grid256,
