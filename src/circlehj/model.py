@@ -31,16 +31,13 @@ class SearchParams:
     """Compact search window standing in for the noncompact phase space.
 
     Extremizers are sought inside |v| <= v_max, |p| <= p_max; the
-    structural checks sample values in |u| <= u_max.  inner_tol and
-    inner_max_iter bound the value fixed point of the evolution step:
-    inner_max_iter caps its full window sweeps and each frozen-cell round
-    between them.
+    structural checks sample values in |u| <= u_max.  The bounds of the
+    evolution step's value fixed point are the constants INNER_TOL and
+    INNER_MAX_ITER of ``semigroup``.
     """
 
     v_max: float = 10.0
     p_max: float = 10.0
-    inner_tol: float = 1e-12
-    inner_max_iter: int = 100
     u_max: float = 50.0
 
 
@@ -371,9 +368,9 @@ def solve_p_star_batch(model, x, v, u, p_max=10.0, tol=1e-12, max_iter=60):
     (negative), a fixed point of the clipped step for convex H.  A settled
     element is never stepped again, so each momentum is the one a solve of
     that element alone returns, whatever its batch.  Clamped elements stay
-    exactly at +-p_max; callers needing strict bracketing use
-    legendre_transform instead.  A bisection cleanup then runs only on
-    unconverged elements whose root the window brackets.
+    exactly at +-p_max; legendre_transform checks the bracket first and
+    raises instead.  A bisection cleanup then runs only on unconverged
+    elements whose root the window brackets.
     """
     x, v, u = np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float),
                                   np.asarray(u, float))
@@ -422,48 +419,24 @@ def lagrangian(model, x, v, u, p_max=10.0):
 
 
 def legendre_transform(model, x, v, u,
-                       search: SearchParams = DEFAULT_SEARCH, tol=1e-12,
-                       max_iter=50):
+                       search: SearchParams = DEFAULT_SEARCH):
     """Scalar Legendre transform: returns (L value, maximizing momentum).
 
-    Safeguarded Newton on d_p(x, p, u) = v with a bisection fallback on a
-    bracket grown inside [-p_max, p_max].  Raises NoBracket when no sign
-    change exists in the window.
+    The momentum is the one solve_p_star_batch returns, the solver of the
+    evolution step.  Raises ValueError when |v| > v_max and NoBracket when
+    d_p(x, p, u) - v has no sign change on [-p_max, p_max].
     """
     if abs(v) > search.v_max:
         raise ValueError(f"|v| = {abs(v):g} exceeds the search bound {search.v_max:g}")
-
-    def g(p):
-        return float(model.d_p(x, p, u)) - v
-
-    lo, hi = -1.0, 1.0
-    while g(lo) > 0.0 and lo > -search.p_max:
-        lo = max(lo * 2.0, -search.p_max)
-    while g(hi) < 0.0 and hi < search.p_max:
-        hi = min(hi * 2.0, search.p_max)
-    if g(lo) > 0.0 or g(hi) < 0.0:
+    p_max = search.p_max
+    if (float(model.d_p(x, -p_max, u)) > v
+            or float(model.d_p(x, p_max, u)) < v):
         raise NoBracket(
-            f"d_p - v has no sign change on [{-search.p_max:g}, {search.p_max:g}] "
+            f"d_p - v has no sign change on [{-p_max:g}, {p_max:g}] "
             f"at (x={x:g}, v={v:g}, u={u:g})"
         )
-
-    p = 0.5 * (lo + hi)
-    gp = g(p)
-    for _ in range(max_iter):
-        if abs(gp) <= tol * (1.0 + abs(v)):
-            break
-        hess = float(model.d_pp(x, p, u))
-        p_new = p - gp / hess if hess > 0.0 else None
-        if p_new is None or not (lo < p_new < hi):
-            p_new = 0.5 * (lo + hi)
-        p = p_new
-        gp = g(p)
-        if gp > 0.0:
-            hi = p
-        else:
-            lo = p
-    L = v * p - float(model.eval_H(x, p, u))
-    return L, p
+    p = float(solve_p_star_batch(model, x, v, u, p_max=p_max))
+    return v * p - float(model.eval_H(x, p, u)), p
 
 
 def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH,

@@ -309,8 +309,7 @@ def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
     # localization: evolving only the data near the touching set must
     # reproduce the full evolution at late times
     dilated = _dilate(gap <= touch_tol, localization_radius_cells)
-    pinned_vals = np.where(dilated, shifted.values, u_cap)
-    pinned = Field(g, pinned_vals, cap_mask=~dilated, cap_value=u_cap)
+    pinned = Field(g, np.where(dilated, shifted.values, u_cap), u_cap)
     full_tr = evolve(model, shifted, localization_t, dt, search=search,
                      u_cap=u_cap)
     loc_tr = evolve(model, pinned, localization_t, dt, search=search,

@@ -149,8 +149,7 @@ def check_generic_step_certified(model=None):
     model = model or nonaffine_model()
     g = sg.Grid(128)
     rng = np.random.default_rng(2)
-    search = sg.DEFAULT_SEARCH
-    ws = sg._StepWorkspace(model, g, 1.0 / 16, search)
+    ws = sg._StepWorkspace(model, g, 1.0 / 16, sg.DEFAULT_SEARCH)
     for values in (0.1 * np.cos(2 * np.pi * g.nodes),
                    rng.uniform(-0.1, 0.1, g.n)):
         w = sg.lax_oleinik_step(model, sg.Field(g, values), ws.dt,
@@ -158,16 +157,16 @@ def check_generic_step_certified(model=None):
         residual = float(np.max(np.abs(ws.window_minimum(values, w)[0] - w)))
         # the plain iteration w = g(w) of full sweeps, from the datum
         plain = values
-        for _ in range(search.inner_max_iter):
+        for _ in range(sg.INNER_MAX_ITER):
             nxt = ws.window_minimum(values, plain)[0]
-            done = float(np.max(np.abs(nxt - plain))) < search.inner_tol
+            done = float(np.max(np.abs(nxt - plain))) < sg.INNER_TOL
             plain = nxt
             if done:
                 break
         gap = float(np.max(np.abs(w - plain)))
-        if residual >= search.inner_tol or gap > 1e-12:
+        if residual >= sg.INNER_TOL or gap > 1e-12:
             return False, (f"step residual {residual:.1e}, gap to plain "
-                           f"iteration {gap:.1e} (tols {search.inner_tol:g}, "
+                           f"iteration {gap:.1e} (tols {sg.INNER_TOL:g}, "
                            "1e-12)")
     return True, "generic step is a certified fixed point of the full sweep"
 
@@ -194,20 +193,20 @@ def check_evolve_matches_steps(model=None):
                 current = sg.lax_oleinik_step(model, current, dt,
                                               search=search, workspace=ws)
                 edge = np.abs(v) == search.v_max
-                if current.cap_mask is not None:
+                if current.cap_value is not None:
                     edge &= ~current.cap_mask
                 hits += int(np.count_nonzero(edge))
                 if k % 3 == 0 or k == 8:
                     snaps.append(current)
+            # the cap mask follows from the values and the cap
             same = (not trace.diverged and trace.window_hits == hits
                     and np.array_equal(trace.times, [0, 3 * dt, 6 * dt, 8 * dt])
-                    and len(trace.snapshots) == len(snaps))
-            for got, want in zip(trace.snapshots, snaps):
-                same = same and np.array_equal(got.values, want.values) and (
-                    np.array_equal(got.cap_mask, want.cap_mask)
-                    if want.cap_mask is not None else got.cap_mask is None)
+                    and len(trace.snapshots) == len(snaps)
+                    and all(np.array_equal(got.values, want.values)
+                            and got.cap_value == want.cap_value
+                            for got, want in zip(trace.snapshots, snaps)))
             if not same:
-                kind = "pinned" if phi.cap_mask is not None else "free"
+                kind = "pinned" if phi.cap_value is not None else "free"
                 return False, (f"evolve differs from single steps on {kind} "
                                f"data at n = {n}, dt = {dt:g}, "
                                f"v_max = {search.v_max:g}")

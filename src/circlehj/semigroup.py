@@ -35,10 +35,11 @@ counted as window hits on the trace and added to the RunRecord that
 limit adds the periods it ran to the same record, and counts itself
 there when it returns quasi-converged.
 
-``evolve`` keeps the raw values and the cap mask of the running state,
-clips to the cap in place and builds a Field only for a snapshot; the
-contraction bound kappa*dt < 1/2 is checked once, when the workspace is
-built.
+``evolve`` keeps the raw values of the running state, clips them to the
+cap in place and builds a Field only for a snapshot; a Field derives its
+cap mask from its values and cap.  The contraction bound kappa*dt < 1/2
+is checked once, when the workspace is built.  INNER_TOL and
+INNER_MAX_ITER bound the value fixed point of the generic step.
 
 The forward semigroup is realized by conjugation: negate the datum,
 evolve under the model H(x,-p,-u), negate back.
@@ -64,6 +65,11 @@ from .model import (DEFAULT_SEARCH, HamiltonianModel, SearchParams,
                     conjugate_model, solve_p_star_batch)
 
 _log = logging.getLogger(__name__)
+
+# the generic step's value fixed point: its stopping increment, and the
+# bound on its full window sweeps and on each frozen-cell round
+INNER_TOL = 1e-12
+INNER_MAX_ITER = 100
 
 
 class AccuracyWarning(UserWarning):
@@ -96,13 +102,13 @@ class Grid:
 class Field:
     """Grid function, optionally with nodes pinned to a finite cap.
 
-    Capped nodes hold exactly ``cap_value`` and stand in for the +infinity
-    of pinned boundary data; they are excluded from sup-norm diagnostics.
+    Nodes at or above ``cap_value`` are capped: they stand in for the
+    +infinity of pinned boundary data and are excluded from sup-norm
+    diagnostics.
     """
 
     grid: Grid
     values: np.ndarray
-    cap_mask: Optional[np.ndarray] = None
     cap_value: Optional[float] = None
 
     def __post_init__(self):
@@ -112,30 +118,32 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
+    @property
+    def cap_mask(self) -> Optional[np.ndarray]:
+        """Nodes at the cap, values >= cap_value; None without a cap."""
+        if self.cap_value is None:
+            return None
+        return self.values >= self.cap_value
+
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "Field":
         return cls(grid, np.full(grid.n, float(value)))
 
     @classmethod
     def pinned(cls, grid: Grid, x0: float, u0: float, cap: float) -> "Field":
-        """Datum with value u0 at the node nearest x0 and the cap elsewhere."""
+        """Datum with value u0 at the node nearest x0 and the cap elsewhere
+        (a u0 at or above the cap is capped too)."""
         vals = np.full(grid.n, float(cap))
-        mask = np.ones(grid.n, dtype=bool)
-        i = grid.nearest(x0)
-        vals[i] = float(u0)
-        mask[i] = False
-        return cls(grid, vals, cap_mask=mask, cap_value=float(cap))
+        vals[grid.nearest(x0)] = float(u0)
+        return cls(grid, vals, cap_value=float(cap))
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.values,
-                     None if self.cap_mask is None else self.cap_mask.copy(),
-                     self.cap_value)
+        return Field(self.grid, self.values, self.cap_value)
 
     def free_values(self) -> np.ndarray:
         """Values at non-capped nodes."""
-        if self.cap_mask is None:
-            return self.values
-        return self.values[~self.cap_mask]
+        mask = self.cap_mask
+        return self.values if mask is None else self.values[~mask]
 
     def interp(self, x):
         """Periodic linear interpolation at arbitrary circle points."""
@@ -145,10 +153,9 @@ class Field:
 def sup_dist(a: Field, b: Field) -> float:
     """Sup-norm distance ignoring nodes capped in either field."""
     mask = np.zeros(a.grid.n, dtype=bool)
-    if a.cap_mask is not None:
-        mask |= a.cap_mask
-    if b.cap_mask is not None:
-        mask |= b.cap_mask
+    for field in (a, b):
+        if field.cap_value is not None:
+            mask |= field.cap_mask
     diff = np.abs(a.values - b.values)
     if mask.all():
         return 0.0
@@ -448,8 +455,7 @@ def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
     cap = phi.cap_value
     if cap is None:
         return Field(phi.grid, raw)
-    mask = raw >= cap
-    return Field(phi.grid, np.minimum(raw, cap, out=raw), mask, cap)
+    return Field(phi.grid, np.minimum(raw, cap, out=raw), cap)
 
 
 def _workspace_for(model, grid, dt, search, workspace):
@@ -486,42 +492,40 @@ def _step_generic(ws: _StepWorkspace, values):
     with those cells frozen, the map costs one cell per node, and a
     per-node secant solves it (``_frozen_fixed_point``).  The next full
     sweep, at that solution w, certifies it by the rule of plain
-    iteration: it returns g(w) once max|g(w) - w| < inner_tol, and
+    iteration: it returns g(w) once max|g(w) - w| < INNER_TOL, and
     otherwise its cells start the next frozen round.  A sweep that does
     not move less than the sweep before it ends the frozen rounds: the
-    step carries on with plain sweeps w = g(w).  inner_max_iter bounds
+    step carries on with plain sweeps w = g(w).  INNER_MAX_ITER bounds
     the full sweeps.
     """
-    search = ws.search
     w, last, plain = values, math.inf, False
-    for _ in range(search.inner_max_iter):
+    for _ in range(INNER_MAX_ITER):
         g, v_star, j = ws.window_minimum(values, w)
         delta = float(np.max(np.abs(g - w)))
-        if delta < search.inner_tol:
+        if delta < INNER_TOL:
             return g, v_star
         plain = plain or delta >= last
-        w = g if plain else _frozen_fixed_point(ws.frozen_cells(j), w, g,
-                                                search)
+        w = g if plain else _frozen_fixed_point(ws.frozen_cells(j), w, g)
         last = delta
     raise InnerNotConverged(
         f"inner value iteration still moving by {delta:g} after "
-        f"{search.inner_max_iter} sweeps"
+        f"{INNER_MAX_ITER} sweeps"
     )
 
 
-def _frozen_fixed_point(cells, w0, g0, search):
+def _frozen_fixed_point(cells, w0, g0):
     """Per-node secant on w = cells(w)[0], from the pair g0 = cells(w0)[0].
 
-    Returns the first iterate w with max|cells(w)[0] - w| < inner_tol, or
-    the last of inner_max_iter.  A node takes the plain step w = cells(w)
+    Returns the first iterate w with max|cells(w)[0] - w| < INNER_TOL, or
+    the last of INNER_MAX_ITER.  A node takes the plain step w = cells(w)
     where the secant slope is not finite or not below 1/2 in size, which
     the contraction bound rules out but round-off does not.
     """
     w_prev, g_prev, w = w0, g0, g0
-    for _ in range(search.inner_max_iter):
+    for _ in range(INNER_MAX_ITER):
         g = cells(w)[0]
         f = g - w
-        if float(np.max(np.abs(f))) < search.inner_tol:
+        if float(np.max(np.abs(f))) < INNER_TOL:
             break
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = (g - g_prev) / (w - w_prev)
@@ -540,8 +544,7 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
     dt is an upper bound; the actual step is T/steps so the horizon is hit
     exactly.  Uncapped evolutions whose sup-norm exceeds u_cap/2 are
     truncated and flagged as diverged (a legitimate long-time regime),
-    never discarded.  A datum with a cap mask but no cap value evolves
-    uncapped.  Raises ValueError when dt breaks kappa*dt < 1/2.
+    never discarded.  Raises ValueError when dt breaks kappa*dt < 1/2.
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
@@ -561,19 +564,18 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
     half = u_cap / 2.0
     times = [0.0]
     snaps = [phi.copy()]
-    values, mask = phi.values, None
+    values = phi.values
     diverged = False
     hits = 0
     for k in range(1, steps + 1):
         values, edge = _step_values(ws, values)
         if cap is not None:
-            mask = values >= cap
             np.minimum(values, cap, out=values)
-            edge &= ~mask
+            edge &= values < cap
         hits += int(np.count_nonzero(edge))
         if k % stride == 0 or k == steps:
             times.append(k * dt_eff)
-            snaps.append(Field(grid, values, mask, cap))
+            snaps.append(Field(grid, values, cap))
         # a non-finite sup-norm stops here too: its Field raises ValueError
         if cap is None:
             top = float(np.max(np.abs(values)))
@@ -597,24 +599,25 @@ def evolve_forward(model: HamiltonianModel, phi: Field, T: float, dt: float,
                    snapshot_every: Optional[float] = None,
                    search: SearchParams = DEFAULT_SEARCH,
                    u_cap: float = 50.0) -> EvolutionTrace:
-    """Forward semigroup via conjugation: -T~(-phi) under H(x,-p,-u)."""
-    conj = conjugate_model(model)
-    neg = Field(phi.grid, -phi.values, None if phi.cap_mask is None
-                else phi.cap_mask.copy(),
-                None if phi.cap_value is None else -phi.cap_value)
-    trace = evolve(conj, neg, T, dt, snapshot_every=snapshot_every,
-                   search=search, u_cap=u_cap)
-    snaps = [Field(s.grid, -s.values,
-                   None if s.cap_mask is None else s.cap_mask.copy(),
-                   None if s.cap_value is None else -s.cap_value)
-             for s in trace.snapshots]
+    """Forward semigroup via conjugation: -T~(-phi) under H(x,-p,-u).
+
+    Raises ValueError on capped data: negated, a cap at +infinity would
+    be one at -infinity, which no finite cap stands in for.
+    """
+    if phi.cap_value is not None:
+        raise ValueError("evolve_forward takes uncapped data only")
+    trace = evolve(conjugate_model(model), Field(phi.grid, -phi.values), T,
+                   dt, snapshot_every=snapshot_every, search=search,
+                   u_cap=u_cap)
+    snaps = [Field(s.grid, -s.values) for s in trace.snapshots]
     return EvolutionTrace(trace.times, snaps, model.name, trace.dt,
                           diverged=trace.diverged,
                           window_hits=trace.window_hits)
 
 
 def _has_caps(field: Field) -> bool:
-    return field.cap_mask is not None and bool(field.cap_mask.any())
+    mask = field.cap_mask
+    return mask is not None and bool(mask.any())
 
 
 def _iterate_to_limit(advance, start: Field, tol, n_max, accept_tol):
@@ -850,19 +853,13 @@ def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
         g = grid or Grid(256)
         if t < 10.0 * dt - 1e-12:
             raise ValueError(f"t = {t:g} below the reliability floor 10*dt = {10 * dt:g}")
-        if direction == "forward":
-            pinned = Field.pinned(g, x0, u0, u_cap)
-            trace = evolve(model, pinned, t, dt, search=search, u_cap=u_cap,
-                           workspace=workspace)
-            raw = float(trace.final.values[g.nearest(x)])
-            grid_value = raw
-        else:
-            conj = conjugate_model(model)
-            pinned = Field.pinned(g, x0, -u0, u_cap)
-            trace = evolve(conj, pinned, t, dt, search=search, u_cap=u_cap,
-                           workspace=workspace)
-            raw = float(trace.final.values[g.nearest(x)])
-            grid_value = -raw
+        # backward: the forward action of the conjugate model, negated
+        sign = 1.0 if direction == "forward" else -1.0
+        m = model if sign > 0.0 else conjugate_model(model)
+        trace = evolve(m, Field.pinned(g, x0, sign * u0, u_cap), t, dt,
+                       search=search, u_cap=u_cap, workspace=workspace)
+        raw = float(trace.final.values[g.nearest(x)])
+        grid_value = sign * raw
         if raw >= 0.99 * u_cap:
             raise CapTooSmall(
                 f"action value {grid_value:g} is within 1% of the cap {u_cap:g}"

@@ -14,6 +14,18 @@ from circlehj.model import (HamiltonianModel, check_assumptions,
                             solve_p_star_batch)
 
 
+def quartic_model():
+    """H = p^4/4 + p^2/2 - 0.3 u: not quadratic, so Newton takes a
+    different number of steps per momentum."""
+    return HamiltonianModel(
+        eval_H=lambda x, p, u: p ** 4 / 4 + p ** 2 / 2 - 0.3 * u,
+        d_p=lambda x, p, u: p ** 3 + p + 0.0 * (x + u),
+        d_x=lambda x, p, u: 0.0 * (x + p + u),
+        d_u=lambda x, p, u: -0.3 + 0.0 * (x + p + u),
+        d_pp=lambda x, p, u: 3.0 * p ** 2 + 1.0 + 0.0 * (x + u),
+        kappa=0.3, delta=0.3, name="quartic")
+
+
 def test_legendre_trivial_cd(cd_model):
     L, p = legendre_transform(cd_model, 0.3, 0.0, 0.0)
     assert L == pytest.approx(0.5, abs=1e-10)
@@ -33,6 +45,21 @@ def test_legendre_cdv_brute_force(cdv_model):
     assert L == pytest.approx(0.125, abs=1e-10)
     Lq, _ = cdv_model.quad_coeffs.lagrangian(x, v, u)
     assert Lq == pytest.approx(0.125, abs=1e-12)
+
+
+def test_legendre_quartic_brute_force():
+    # independent oracle on a model without closed form: dense supremum of
+    # v p - H over the momentum window, spacing 5e-5
+    quartic = quartic_model()
+    ps = np.linspace(-10.0, 10.0, 400001)
+    for x, v, u in ((0.1, 0.0, 0.0), (0.4, 0.7, 1.5), (0.9, -3.2, -0.8),
+                    (0.6, 9.5, 0.3)):
+        objective = v * ps - quartic.eval_H(x, ps, u)
+        brute, p_brute = np.max(objective), ps[np.argmax(objective)]
+        L, p = legendre_transform(quartic, x, v, u)
+        assert brute - 1e-12 <= L <= brute + 1e-8
+        assert abs(p - p_brute) <= 5e-5
+        assert abs(p ** 3 + p - v) <= 1e-12 * (1.0 + abs(v))
 
 
 def test_legendre_matches_closed_form(cd_model, cdv_model):
@@ -200,16 +227,10 @@ def test_p_star_batch_settles_clamped_momenta(custom_model):
 
 
 def test_p_star_batch_independent_of_batch():
-    # H = p^4/4 + p^2/2 - 0.3 u: Newton takes a different number of steps
-    # per element, and a settled element must not take the batch's extra
-    # steps; each momentum equals its one-element solve bit for bit
-    quartic = HamiltonianModel(
-        eval_H=lambda x, p, u: p ** 4 / 4 + p ** 2 / 2 - 0.3 * u,
-        d_p=lambda x, p, u: p ** 3 + p + 0.0 * (x + u),
-        d_x=lambda x, p, u: 0.0 * (x + p + u),
-        d_u=lambda x, p, u: -0.3 + 0.0 * (x + p + u),
-        d_pp=lambda x, p, u: 3.0 * p ** 2 + 1.0 + 0.0 * (x + u),
-        kappa=0.3, delta=0.3, name="quartic")
+    # Newton takes a different number of steps per element, and a settled
+    # element must not take the batch's extra steps; each momentum equals
+    # its one-element solve bit for bit
+    quartic = quartic_model()
     rng = np.random.default_rng(7)
     x, v, u = (rng.uniform(0.0, 1.0, 200), rng.uniform(-20.0, 20.0, 200),
                rng.uniform(-1.0, 1.0, 200))

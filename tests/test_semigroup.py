@@ -32,6 +32,19 @@ def test_field_validation(grid256):
         sg.Field(grid256, np.full(256, np.nan))
 
 
+def test_cap_mask_follows_values(cd_model, grid256):
+    assert sg.Field.constant(grid256, 50.0).cap_mask is None
+    pinned = sg.Field.pinned(grid256, 0.3, 0.1, 50.0)
+    assert np.flatnonzero(~pinned.cap_mask).tolist() == [grid256.nearest(0.3)]
+    assert np.array_equal(pinned.copy().cap_mask, pinned.cap_mask)
+    # a pinned value at the cap counts as capped from the start
+    assert sg.Field.pinned(grid256, 0.3, 50.0, 50.0).cap_mask.all()
+    stepped = sg.lax_oleinik_step(cd_model, pinned, grid256.h)
+    assert np.array_equal(stepped.cap_mask, stepped.values == 50.0)
+    with pytest.raises(TypeError):
+        sg.Field(grid256, pinned.values, cap_mask=pinned.cap_mask)
+
+
 def test_step_zero_datum_stationary(cd_model, grid256):
     w = sg.lax_oleinik_step(cd_model, sg.Field.constant(grid256, 0.0), 1e-3)
     assert np.max(np.abs(w.values)) <= 1e-12
@@ -155,13 +168,13 @@ def test_generic_paths_match_on_rough_data(cd_model):
 
 def plain_step(ws, values):
     """Reference generic step: plain iteration w = g(w) of full window
-    sweeps from the datum, stopped at max|g(w) - w| < inner_tol."""
+    sweeps from the datum, stopped at max|g(w) - w| < INNER_TOL."""
     w = values
-    for _ in range(ws.search.inner_max_iter):
+    for _ in range(sg.INNER_MAX_ITER):
         g, v_star, _ = ws.window_minimum(values, w)
         delta = float(np.max(np.abs(g - w)))
         w = g
-        if delta < ws.search.inner_tol:
+        if delta < sg.INNER_TOL:
             return w, v_star
     raise AssertionError("plain iteration did not converge")
 
@@ -250,12 +263,12 @@ def test_certifying_sweep_reproduces_frozen_cells():
     assert np.array_equal(frozen_v[kept], v_star[kept])
 
 
-def test_generic_step_inner_not_converged(custom_model):
+def test_generic_step_inner_not_converged(custom_model, monkeypatch):
     g = sg.Grid(128)
     phi = random_smooth_field(g, np.random.default_rng(5))
-    one = sg.SearchParams(inner_max_iter=1)
+    monkeypatch.setattr(sg, "INNER_MAX_ITER", 1)
     with pytest.raises(InnerNotConverged, match="after 1 sweeps"):
-        sg.lax_oleinik_step(custom_model, phi, 1.0 / 16, search=one)
+        sg.lax_oleinik_step(custom_model, phi, 1.0 / 16)
 
 
 def test_replace_without_record_takes_generic_path(cd_model, grid256,
@@ -380,7 +393,7 @@ def _step_chain(model, phi, T, dt, snapshot_every=None, u_cap=50.0,
         current = sg.lax_oleinik_step(model, current, dt_eff, search=search,
                                       workspace=ws)
         edge = np.abs(v) == search.v_max
-        if current.cap_mask is not None:
+        if current.cap_value is not None:
             edge &= ~current.cap_mask
         hits += int(np.count_nonzero(edge))
         if k % stride == 0 or k == steps:
@@ -397,17 +410,13 @@ def _step_chain(model, phi, T, dt, snapshot_every=None, u_cap=50.0,
 
 
 def _assert_same_field(got, want):
+    # the cap mask follows from the values and the cap
     assert np.array_equal(got.values, want.values)
     assert got.cap_value == want.cap_value
-    if want.cap_mask is None:
-        assert got.cap_mask is None
-    else:
-        assert np.array_equal(got.cap_mask, want.cap_mask)
 
 
 @pytest.mark.parametrize("case", ["uncapped", "snapshots", "pinned",
-                                  "pinned_narrow", "diverges",
-                                  "mask_without_cap", "reach82"])
+                                  "pinned_narrow", "diverges", "reach82"])
 def test_evolve_equals_step_chain(cd_model, case):
     g = sg.Grid(1024 if case == "reach82" else 256)
     rng = np.random.default_rng(7)
@@ -425,8 +434,6 @@ def test_evolve_equals_step_chain(cd_model, case):
     elif case == "diverges":
         # 0.6 e^{t/2} passes u_cap/2 = 0.65 near t = 0.16, between snapshots
         phi, T, every, u_cap = sg.Field.constant(g, 0.6), 1.0, 0.1, 1.3
-    elif case == "mask_without_cap":
-        phi = sg.Field(g, phi.values, cap_mask=rng.random(g.n) < 0.5)
     elif case == "reach82":
         phi = sg.Field(g, rng.uniform(-0.1, 0.1, g.n))
         T, dt = 0.04, 8e-3
@@ -464,6 +471,14 @@ def test_forward_zero_fixed(cd_model, grid256):
     trace = sg.evolve_forward(cd_model, sg.Field.constant(grid256, 0.0), 2.0,
                               2e-3)
     assert np.max(np.abs(trace.final.values)) <= 1e-10
+
+
+def test_forward_rejects_capped_data(cd_model):
+    # negated, the cap -50 would clip every value: the run would collapse
+    # to the cap instead of evolving the pinned value
+    pinned = sg.Field.pinned(sg.Grid(256), 0.3, 0.1, 50.0)
+    with pytest.raises(ValueError, match="uncapped"):
+        sg.evolve_forward(cd_model, pinned, 0.1, 1.0 / 256)
 
 
 def test_forward_constant_decay(cd_model):
@@ -729,10 +744,8 @@ def scripted(gaps, capped=(), diverged_at=None):
         calls.append(k)
         values = field.values + gaps[k]
         if k in capped:
-            mask = np.zeros(field.grid.n, dtype=bool)
-            mask[0] = True
             values[0] = 50.0
-            nxt = sg.Field(field.grid, values, cap_mask=mask, cap_value=50.0)
+            nxt = sg.Field(field.grid, values, cap_value=50.0)
         else:
             nxt = sg.Field(field.grid, values)
         return sg.EvolutionTrace(np.array([0.0, 1.0]), [field, nxt], "stub",
