@@ -350,6 +350,7 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             "window_hits": record.window_hits,
             "limit_periods": record.limit_periods,
             "quasi_limits": record.quasi_limits,
+            "policy_sweeps": record.policy_sweeps,
         }
         manifest.update({k: v for k, v in extra.items()
                          if isinstance(v, (int, float, str, bool))})
@@ -359,9 +360,10 @@ def run_command(command, config_path, out_dir, normalize_c=False,
         except OSError:
             pass
         _log.info("%s: exit %d, window hits %d, limit periods %d, quasi "
-                  "limits %d, accuracy warnings %d", command, status,
-                  record.window_hits, record.limit_periods,
-                  record.quasi_limits, accuracy_warnings)
+                  "limits %d, policy sweeps %d, accuracy warnings %d",
+                  command, status, record.window_hits, record.limit_periods,
+                  record.quasi_limits, record.policy_sweeps,
+                  accuracy_warnings)
     return status
 
 

@@ -22,7 +22,9 @@ from .errors import (EpsilonUnderflow, FlatObjective, NotConverged,
 from .flow import OrbitResult, check_condition_A, shoot_stationary_orbit
 from .model import HamiltonianModel
 from .semigroup import (DEFAULT_SEARCH, EvolutionTrace, Field, Grid,
-                        SearchParams, _iterate_to_limit, evolve, sup_dist)
+                        SearchParams, _contracting_workspace,
+                        _iterate_to_limit, _policy_fixed_point, evolve,
+                        sup_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -508,15 +510,21 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
                                     "value-coupled pipeline")
     model = family(lam)
     if lam < 0.0:
-        # increasing case: everything contracts onto the unique fixed point
+        # increasing case: everything contracts onto the unique fixed point,
+        # solved directly where the step contracts; the amplitude is the
+        # certifying residual, or the last period increment
+        ws = _contracting_workspace(model, g, dt, search)
         try:
-            _, history, _, _ = _iterate_to_limit(
-                lambda f: evolve(model, f, 1.0, dt, search=search),
-                Field.constant(g, 0.1), fp_tol, math.ceil(t_fp_max), fp_tol)
+            if ws is not None:
+                _, gap = _policy_fixed_point(ws, np.full(g.n, 0.1), fp_tol)
+            else:
+                gap = _iterate_to_limit(
+                    lambda f: evolve(model, f, 1.0, dt, search=search),
+                    Field.constant(g, 0.1), fp_tol, math.ceil(t_fp_max),
+                    fp_tol)[1][-1]
         except NotConverged as exc:
             return BifurcationRow(lam, "fixed_point", math.nan, math.nan,
                                   math.nan, error=str(exc))
-        gap = history[-1]
         try:
             orbit = shoot_stationary_orbit(model)
             min_b = check_condition_A(orbit)[1]
@@ -551,10 +559,13 @@ def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
                       search: SearchParams = DEFAULT_SEARCH) -> BifurcationDiagram:
     """Classify the family member at each parameter value.
 
-    Rows never abort the sweep; failures are recorded per row.  The
-    transversality threshold estimate is the midpoint between the last
-    positive parameter with min |dH/dp| above b_min_tol and the first
-    without, +inf when transversality holds across the whole range.
+    Rows never abort the sweep; failures are recorded per row.  A row
+    with lam < 0 is the fixed point: solved by policy iteration to fp_tol
+    for a family with a coefficient record, else the period-map limit
+    within t_fp_max periods.  The transversality threshold estimate is
+    the midpoint between the last positive parameter with min |dH/dp|
+    above b_min_tol and the first without, +inf when transversality holds
+    across the whole range.
     """
     rows = []
     for lam in sorted(float(l) for l in lambdas):

@@ -213,6 +213,21 @@ def check_evolve_matches_steps(model=None):
     return True, "evolve equals a chain of single steps bit for bit"
 
 
+def check_policy_fixed_point(model=None):
+    """The lam < 0 fixed point by policy iteration, certified to round-off."""
+    model = model or make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", -0.2)
+    g = sg.Grid(128)
+    ws = sg._contracting_workspace(model, g, g.h)
+    if ws is None:
+        return False, "the model's step does not contract"
+    record = sg.RunRecord()
+    with sg.recording(record):
+        _, residual = sg._policy_fixed_point(ws, np.full(g.n, 0.1), 1e-10)
+    ok = residual <= 1e-13 and record.policy_sweeps <= 10
+    return ok, (f"residual {residual:.1e} (tol 1e-13) after "
+                f"{record.policy_sweeps} sweeps (at most 10)")
+
+
 def check_subsolution_cd(model=None):
     model = model or constant_drift_model(1.0, 0.5)
     orbit = flow.shoot_stationary_orbit(model, guess=(0.1, 0.1))
@@ -335,6 +350,7 @@ FAST_CHECKS = [
     ("window-minimum-exact", check_window_minimum_exact),
     ("generic-step-certified", check_generic_step_certified),
     ("evolve-matches-steps", check_evolve_matches_steps),
+    ("policy-fixed-point", check_policy_fixed_point),
     ("subsolution-constant-drift", check_subsolution_cd),
     ("min-shift-synthetic", check_minshift_synthetic),
     ("detect-period-flat", check_detect_period_flat),

@@ -35,6 +35,14 @@ counted as window hits on the trace and added to the RunRecord that
 limit adds the periods it ran to the same record, and counts itself
 there when it returns quasi-converged.
 
+A quadratic-family step whose u-coupling contracts (lam < 0, so
+1 - dt lam > 1) has a unique fixed point, the stationary limit of every
+datum.  ``_policy_fixed_point`` solves for it by Howard's policy
+iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009):
+one window sweep fixes each node's velocity, one dense linear solve
+evaluates that policy, and a sweep whose residual the contraction bound
+turns into the tolerance certifies the result.
+
 ``evolve`` keeps the raw values of the running state, clips them to the
 cap in place and builds a Field only for a snapshot; a Field derives its
 cap mask from its values and cap.  The contraction bound kappa*dt < 1/2
@@ -215,6 +223,8 @@ class RunRecord:
     limit_periods: int = 0
     # limits that _iterate_to_limit returned quasi-converged
     quasi_limits: int = 0
+    # window sweeps run by every _policy_fixed_point of the run, summed
+    policy_sweeps: int = 0
 
 
 _RUN_RECORD: contextvars.ContextVar = contextvars.ContextVar(
@@ -535,6 +545,15 @@ def _frozen_fixed_point(cells, w0, g0):
     return w
 
 
+def _warn_if_coarse(dt, grid, search):
+    """AccuracyWarning, on the caller's caller, when dt > h/v_max."""
+    if dt > grid.h / max(search.v_max, 1e-300):
+        warnings.warn(
+            f"dt = {dt:g} exceeds h/v_max = {grid.h / search.v_max:g}; "
+            "feet span several cells per step (accuracy, not stability)",
+            AccuracyWarning, stacklevel=3)
+
+
 def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
            snapshot_every: Optional[float] = None,
            search: SearchParams = DEFAULT_SEARCH, u_cap: float = 50.0,
@@ -553,11 +572,7 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
         return EvolutionTrace(np.array([0.0]), [phi.copy()], model.name, dt)
     steps = max(1, math.ceil(T / dt - 1e-12))
     dt_eff = T / steps
-    if dt_eff > grid.h / max(search.v_max, 1e-300):
-        warnings.warn(
-            f"dt = {dt_eff:g} exceeds h/v_max = {grid.h / search.v_max:g}; "
-            "feet span several cells per step (accuracy, not stability)",
-            AccuracyWarning, stacklevel=2)
+    _warn_if_coarse(dt_eff, grid, search)
     stride = steps if snapshot_every is None else max(1, round(snapshot_every / dt_eff))
     ws = _workspace_for(model, grid, dt_eff, search, workspace)
     cap = phi.cap_value
@@ -623,6 +638,13 @@ def _has_caps(field: Field) -> bool:
 def _iterate_to_limit(advance, start: Field, tol, n_max, accept_tol):
     """Iterate a period map to (quasi) stationarity.
 
+    This serves the limits that policy iteration does not: models without
+    a coefficient record, the repelling period maps of the decreasing
+    regime (pinned and long-time periodic limits, ``weak_kam_backward``)
+    and every other map whose step does not contract.  The forward weak
+    KAM solution and the lam < 0 bifurcation rows of quadratic-family
+    models take ``_policy_fixed_point`` instead.
+
     ``advance`` maps a field to the EvolutionTrace of one period.  An
     increment (sup distance between consecutive iterates) counts only
     when neither field of the period has capped nodes.  The iteration
@@ -683,13 +705,90 @@ def _log_limit(outcome, periods, history):
               outcome, periods, f"{history[-1]:.3g}" if history else "none")
 
 
+def _contracting_workspace(model: HamiltonianModel, grid: Grid, dt: float,
+                          search: SearchParams = DEFAULT_SEARCH):
+    """Workspace of the step that evolve takes over one unit period at dt,
+    if that step is a contraction (a coefficient record with lam < 0);
+    None otherwise."""
+    q = model.quad_coeffs
+    if q is None or q.lam >= 0.0:
+        return None
+    steps = max(1, math.ceil(1.0 / dt - 1e-12))
+    return _StepWorkspace(model, grid, 1.0 / steps, search)
+
+
+def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float):
+    """Fixed point of the contracting quadratic-family step S of ``ws``
+    (ws.affine < 0), by Howard's policy iteration from the policy of w0.
+
+    S(w) = best(w) / r with r = 1 - dt lam > 1, best the window minimum at
+    u = 0, is a min-plus contraction of rate 1/r.  Each sweep is one
+    window_minimum at w, which gives S(w) and each node's window column j
+    and velocity v*, and so the foot cell k = i + offset[j] and fraction
+    theta = off_j - v* dt n.  The sweep certifies w once
+    max|S(w) - w| <= (1 - 1/r) tol, which puts w within tol of the fixed
+    point.  Otherwise the policy is evaluated by one dense solve of
+        r w_i - (1 - theta_i) w_k - theta_i w_{k+1} = c_i,
+    c_i = best_i less its interpolated datum, an M-matrix system since
+    every row sums to r - 1 > 0.
+
+    Each sweep counts in the run record, and the certifying sweep's
+    nodes at +-v_max count as window hits.  Returns (w, certifying
+    residual); raises NotConverged after INNER_MAX_ITER sweeps.
+    """
+    _warn_if_coarse(ws.dt, ws.grid, ws.search)
+    rate = 1.0 - ws.dt * ws.affine
+    bound = (1.0 - 1.0 / rate) * tol
+    n = ws.grid.n
+    i = ws._node_index
+    record = _RUN_RECORD.get()
+    w = np.asarray(w0, dtype=float)
+    for sweep in range(1, INNER_MAX_ITER + 1):
+        best, v_star, j = ws.window_minimum(w, None)
+        if record is not None:
+            record.policy_sweeps += 1
+        residual = float(np.max(np.abs(best / rate - w)))
+        if residual <= bound:
+            if record is not None:
+                record.window_hits += int(np.count_nonzero(
+                    np.abs(v_star) == ws.search.v_max))
+            _log.info("policy fixed point after %d sweeps, residual %.3g",
+                      sweep, residual)
+            return w, residual
+        theta = ws._columns[0, j] - v_star * (ws.dt * n)
+        k = (i + ws.offset[j]) % n
+        k1 = (k + 1) % n
+        matrix = np.zeros((n, n))
+        matrix[i, i] = rate
+        matrix[i, k] -= 1.0 - theta
+        matrix[i, k1] -= theta
+        w = np.linalg.solve(
+            matrix, best - (1.0 - theta) * w[k] - theta * w[k1])
+    raise NotConverged(
+        f"policy iteration residual still {residual:g} after "
+        f"{INNER_MAX_ITER} sweeps (certifies at {bound:g})")
+
+
 def weak_kam_forward(model: HamiltonianModel, grid: Grid, tol=1e-6, t_max=80.0,
                      dt: Optional[float] = None,
                      search: SearchParams = DEFAULT_SEARCH,
                      phi0: Optional[Field] = None) -> Field:
-    """Forward weak KAM solution: run T+ from zero until period-1 stationarity."""
+    """Forward weak KAM solution: the stationary limit of T+ from phi0
+    (zero by default).
+
+    Where the conjugate step contracts (a coefficient record with
+    lam > 0), the limit is its fixed point, solved by policy iteration
+    from the policy of phi0 to within tol.  Otherwise T+ runs period by
+    period until the period-1 increment is <= tol, within t_max periods.
+    Raises ValueError on capped data, as evolve_forward does.
+    """
     dt = grid.h if dt is None else dt
     start = phi0 if phi0 is not None else Field.constant(grid, 0.0)
+    if start.cap_value is not None:
+        raise ValueError("weak_kam_forward takes uncapped data only")
+    ws = _contracting_workspace(conjugate_model(model), grid, dt, search)
+    if ws is not None:
+        return Field(grid, -_policy_fixed_point(ws, -start.values, tol)[0])
     return _iterate_to_limit(
         lambda f: evolve_forward(model, f, 1.0, dt, search=search), start,
         tol, math.ceil(t_max), tol)[0]

@@ -272,7 +272,9 @@ def test_bifurcate_command(tmp_path):
     out = str(tmp_path / "bif")
     assert cli.main(["bifurcate", "--config", str(cfg), "--out", out,
                      "--plot"]) == 0
-    assert manifest_of(out)["window_hits"] > 0  # pinned limits, as in action
+    manifest = manifest_of(out)
+    assert manifest["window_hits"] > 0  # pinned limits, as in action
+    assert manifest["policy_sweeps"] > 0  # the lambda < 0 row
     rows = {}
     with open(os.path.join(out, "bifurcation.csv")) as fh:
         assert fh.readline().strip() == "lambda,class,amplitude,period,min_abs_B"
@@ -320,6 +322,7 @@ def test_verbose_streams_events_and_keeps_outputs(tmp_path, capsys):
             assert err == ""
             continue
         assert "period-map limit" in err and "window hits" in err
+        assert "policy fixed point after" in err
         assert "AccuracyWarning: dt = " in err
         # a repeated in-process run logs each record once: no stacked handler
         assert err.count("bifurcate: exit 0") == 1

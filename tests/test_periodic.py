@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -286,6 +287,36 @@ def test_bifurcation_negative_rows_only():
     assert row.klass == "fixed_point"
     assert row.amplitude <= 1e-4
     assert math.isinf(diag.lambda0_estimate)
+
+
+@pytest.mark.parametrize("lam", [-0.05, -0.02])
+def test_bifurcation_fixed_point_near_zero(lam):
+    # the period map contracts by about exp(lam) per period, too slowly to
+    # reach fp_tol within t_fp_max = 60 periods; the policy solve does not
+    # iterate periods
+    family = lambda lam: make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", lam)
+    fp_tol = 1e-4
+    record = sg.RunRecord()
+    with sg.recording(record):
+        row = periodic.bifurcation_sweep(family, [lam], grid_n=128,
+                                         fp_tol=fp_tol).rows[0]
+    assert row.klass == "fixed_point" and row.error is None
+    assert row.amplitude <= fp_tol
+    assert record.policy_sweeps > 0 and record.limit_periods == 0
+
+
+def test_bifurcation_recordless_family_iterates_periods():
+    # without a coefficient record the row is the period-map limit; a
+    # coarse grid and step keep the generic steps few
+    family = lambda lam: dataclasses.replace(
+        make_quadratic_model(1.0, 1.0, 0.0, lam), quad_coeffs=None)
+    record = sg.RunRecord()
+    with sg.recording(record), pytest.warns(sg.AccuracyWarning):
+        row = periodic.bifurcation_sweep(family, [-0.4], grid_n=64,
+                                         dt=1.0 / 32, fp_tol=1e-2).rows[0]
+    assert row.klass == "fixed_point" and row.error is None
+    assert row.amplitude <= 1e-2
+    assert record.limit_periods > 0 and record.policy_sweeps == 0
 
 
 def test_bifurcation_cdv_family():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -821,6 +822,98 @@ def test_limit_stops_on_diverged_trace():
     assert history == [2.0 ** -6, 2.0 ** -7]
     assert (n_done, quasi, len(calls)) == (3, True, 3)
     assert np.all(state.values == 2.0 ** -6 + 2.0 ** -7)
+
+
+# ------------------------------------------------------ policy fixed point
+
+def cosine_family(lam):
+    return make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", lam)
+
+
+def policy_solve(model, grid, tol, search=sg.DEFAULT_SEARCH, w0=0.1):
+    """(w, residual, sweeps, window hits, AccuracyWarnings) of one solve
+    at dt = h from the constant w0."""
+    record = sg.RunRecord()
+    with warnings.catch_warnings(record=True) as caught, sg.recording(record):
+        warnings.simplefilter("always")
+        ws = sg._contracting_workspace(model, grid, grid.h, search)
+        w, residual = sg._policy_fixed_point(ws, np.full(grid.n, w0), tol)
+    accuracy = sum(issubclass(c.category, sg.AccuracyWarning) for c in caught)
+    return w, residual, record.policy_sweeps, record.window_hits, accuracy
+
+
+def test_contracting_workspace_needs_record_and_negative_lam():
+    g = sg.Grid(128)
+    assert sg._contracting_workspace(cosine_family(-0.2), g, g.h).affine == -0.2
+    # the step evolve takes over one unit period at dt = 0.3
+    ws = sg._contracting_workspace(cosine_family(-0.2), g, 0.3)
+    assert ws.dt == 0.25
+    assert sg._contracting_workspace(cosine_family(0.2), g, g.h) is None
+    stripped = dataclasses.replace(cosine_family(-0.2), quad_coeffs=None)
+    assert sg._contracting_workspace(stripped, g, g.h) is None
+
+
+def test_policy_fixed_point_satisfies_one_step():
+    g = sg.Grid(128)
+    model = cosine_family(-0.2)
+    w, residual, sweeps, _, accuracy = policy_solve(model, g, 1e-10)
+    step = sg.lax_oleinik_step(model, sg.Field(g, w), g.h)
+    # the certifying residual is the increment of one step, bit for bit
+    assert residual == np.max(np.abs(step.values - w))
+    assert residual <= 1e-13
+    assert sweeps <= 10
+    # dt = h is above h/v_max: one warning per solve, as per evolve
+    assert accuracy == 1
+
+
+def test_policy_fixed_point_within_bound_of_period_map_limit():
+    g = sg.Grid(128)
+    lam, fp_tol = -0.2, 1e-4
+    model = cosine_family(lam)
+    w, residual, _, _, _ = policy_solve(model, g, fp_tol)
+    assert residual <= (1.0 - 1.0 / (1.0 - g.h * lam)) * fp_tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sg.AccuracyWarning)
+        limit = sg._iterate_to_limit(
+            lambda f: sg.evolve(model, f, 1.0, g.h), sg.Field.constant(g, 0.1),
+            fp_tol, 60, fp_tol)[0]
+    # an increment <= fp_tol of the period map, which contracts by
+    # (1 - dt lam)^(-1/dt), bounds its distance to the fixed point
+    bound = fp_tol / (1.0 - (1.0 - g.h * lam) ** (-1.0 / g.h))
+    assert np.max(np.abs(limit.values - w)) <= bound
+
+
+def test_policy_fixed_point_counts_window_hits():
+    # the drift b = 1 puts every node's vertex at v = 1, past v_max = 0.5:
+    # the certifying sweep's n nodes are hits; dt = h <= h/v_max, no warning
+    g = sg.Grid(128)
+    search = sg.SearchParams(v_max=0.5)
+    _, residual, sweeps, hits, accuracy = policy_solve(
+        constant_drift_model(1.0, -0.2), g, 1e-4, search=search)
+    assert (hits, accuracy) == (g.n, 0)
+    assert sweeps == 2 and residual <= 1e-4
+
+
+def test_policy_fixed_point_not_converged(monkeypatch):
+    monkeypatch.setattr(sg, "INNER_MAX_ITER", 1)
+    with pytest.raises(NotConverged, match="policy iteration"):
+        policy_solve(cosine_family(-0.2), sg.Grid(128), 1e-4)
+
+
+def test_weak_kam_forward_takes_policy_path(cdv_model):
+    g = sg.Grid(128)
+    record = sg.RunRecord()
+    with sg.recording(record), warnings.catch_warnings():
+        warnings.simplefilter("ignore", sg.AccuracyWarning)
+        u_plus = sg.weak_kam_forward(cdv_model, g, tol=1e-10)
+    assert record.policy_sweeps > 0 and record.limit_periods == 0
+    # a fixed point of the forward step: the conjugate step fixes -u_plus
+    step = sg.lax_oleinik_step(conjugate_model(cdv_model),
+                               sg.Field(g, -u_plus.values), g.h)
+    assert np.max(np.abs(step.values + u_plus.values)) <= 1e-13
+    with pytest.raises(ValueError, match="uncapped"):
+        sg.weak_kam_forward(cdv_model, g, phi0=sg.Field.pinned(g, 0.0, 0.0,
+                                                               50.0))
 
 
 # ------------------------------------------------- exact step invariants
