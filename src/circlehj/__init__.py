@@ -11,13 +11,13 @@ sweeps a one-parameter family to exhibit the sign-change bifurcation.
 from .errors import CircleHJError
 from .model import (HamiltonianModel, check_assumptions, conjugate_model,
                     constant_drift_model, cosine_potential_model,
-                    estimate_critical_value, freeze_classical,
-                    legendre_transform, make_quadratic_model,
-                    shift_hamiltonian)
+                    freeze_classical, legendre_transform,
+                    make_quadratic_model, shift_hamiltonian)
 from .flow import (ContactState, OrbitResult, check_condition_A,
                    integrate_contact, integrate_reduced, shoot_stationary_orbit)
 from .semigroup import (ActionResult, EvolutionTrace, Field, Grid,
-                        SearchParams, action_function, evolve, evolve_forward,
+                        SearchParams, action_function,
+                        estimate_critical_value, evolve, evolve_forward,
                         lax_oleinik_step, solve_reversibility, sup_dist,
                         weak_kam_backward, weak_kam_forward)
 from .periodic import (BifurcationDiagram, PeriodicSolution, SubsolutionSpec,

@@ -21,8 +21,7 @@ import warnings
 from . import errors, flow, periodic, reporting
 from . import semigroup as sg
 from .config import ExperimentConfig, build_model, load_config
-from .model import (compile_expression, estimate_critical_value,
-                    shift_hamiltonian)
+from .model import compile_expression, shift_hamiltonian
 from .selftest import run_selftest
 
 _ASSUMPTION_ERRORS = (errors.NonPositiveA, errors.TurningPoint,
@@ -45,9 +44,9 @@ def _search_params(cfg: ExperimentConfig) -> sg.SearchParams:
                            u_max=cfg.get("search", "U_max"))
 
 
-def _grid(cfg) -> sg.Grid:
+def _grid(cfg, key=("grid", "n")) -> sg.Grid:
     try:
-        return sg.Grid(cfg.get("grid", "n"))
+        return sg.Grid(cfg.get(*key))
     except ValueError as exc:
         raise errors.ConfigError(str(exc)) from exc
 
@@ -245,7 +244,7 @@ def cmd_bifurcate(model, cfg, out, files):
                                     lam)
 
     diag = periodic.bifurcation_sweep(
-        family, lambdas, grid_n=cfg.get("bifurcate", "grid_n"),
+        family, lambdas, grid_n=_grid(cfg, ("bifurcate", "grid_n")).n,
         pinned_tol=cfg.get("bifurcate", "tol"),
         fp_tol=cfg.get("bifurcate", "fp_tol"),
         n_max=cfg.get("bifurcate", "n_max"), search=_search_params(cfg))
@@ -319,7 +318,8 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             warnings.simplefilter("always", sg.AccuracyWarning)
             warnings.showwarning = count_accuracy
             if normalize_c:
-                c = estimate_critical_value(model, search=_search_params(cfg))
+                c = sg.estimate_critical_value(model,
+                                               search=_search_params(cfg))
                 model = shift_hamiltonian(model, c)
                 extra["normalized_c"] = c
             extra.update(_DISPATCH[command](model, cfg, out_dir, files))

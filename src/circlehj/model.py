@@ -16,14 +16,13 @@ raw callables as long as they broadcast over numpy arrays.
 from __future__ import annotations
 
 import ast
-import logging
 import operator
 from dataclasses import InitVar, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NoBracket, NonPositiveA, NotConverged
+from .errors import ConfigError, NoBracket, NonPositiveA
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,11 @@ class HamiltonianModel:
     delta: float
     name: str = "custom"
     quad_coeffs: Optional[QuadCoeffs] = None
-    # Former fast-path hooks, accepted only as None: circlebench/workloads.py
-    # builds its callback-only model with dataclasses.replace(model,
+    # Former fast-path hooks, accepted only as None: the setup of the
+    # generic_characteristics workload in circlebench/workloads.py builds
+    # its callback-only model with dataclasses.replace(model,
     # closed_form_L=None, l_affine_u=None, quad_coeffs=None).  They go once
-    # that call drops the two keywords (ROADMAP item 4).
+    # that call drops the two keywords.
     closed_form_L: InitVar[None] = None
     l_affine_u: InitVar[None] = None
 
@@ -495,38 +495,3 @@ def derivative_consistency(model, search: SearchParams = DEFAULT_SEARCH,
     worst = max(worst, float(np.max(np.abs(fd_x - model.d_x(x, p, u)))))
     worst = max(worst, float(np.max(np.abs(fd_u - model.d_u(x, p, u)))))
     return worst
-
-
-def estimate_critical_value(model, grid_n=128, horizon=60.0, dt=4e-3,
-                            slope_tol=5e-3,
-                            search: SearchParams = DEFAULT_SEARCH):
-    """Critical value of the frozen Hamiltonian H(x, p, 0).
-
-    Runs the classical (u-independent) evolution from the zero datum and
-    reads minus the average slope of t -> min_x of the solution over the
-    window [T/2, T], cross-checked against the earlier window [T/4, T/2].
-    Raises NotConverged when the two window slopes disagree beyond
-    slope_tol.
-    """
-    from . import semigroup  # local import: semigroup depends on this module
-
-    frozen = freeze_classical(model)
-    grid = semigroup.Grid(grid_n)
-    phi = semigroup.Field.constant(grid, 0.0)
-    quarter = horizon / 4.0
-    trace = semigroup.evolve(frozen, phi, horizon, dt, snapshot_every=quarter,
-                             search=search, u_cap=np.inf)
-    mins = [float(np.min(s.values)) for s in trace.snapshots]
-    # snapshots at 0, T/4, T/2, 3T/4, T
-    slope_late = (mins[4] - mins[2]) / (2.0 * quarter)
-    slope_early = (mins[2] - mins[0]) / (2.0 * quarter)
-    disagreement = abs(slope_late - slope_early)
-    logging.getLogger(__name__).info(
-        "critical value %.6g, window disagreement %.3g", -slope_late,
-        disagreement)
-    if disagreement > slope_tol:
-        raise NotConverged(
-            f"window slopes differ by {disagreement:g} > {slope_tol:g}; "
-            "increase the horizon"
-        )
-    return -slope_late

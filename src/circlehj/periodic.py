@@ -22,9 +22,8 @@ from .errors import (EpsilonUnderflow, FlatObjective, NotConverged,
 from .flow import OrbitResult, check_condition_A, shoot_stationary_orbit
 from .model import HamiltonianModel
 from .semigroup import (DEFAULT_SEARCH, EvolutionTrace, Field, Grid,
-                        SearchParams, _contracting_workspace,
-                        _iterate_to_limit, _policy_fixed_point, evolve,
-                        sup_dist)
+                        SearchParams, _iterate_to_limit, evolve,
+                        stationary_limit, sup_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -510,18 +509,11 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
                                     "value-coupled pipeline")
     model = family(lam)
     if lam < 0.0:
-        # increasing case: everything contracts onto the unique fixed point,
-        # solved directly where the step contracts; the amplitude is the
-        # certifying residual, or the last period increment
-        ws = _contracting_workspace(model, g, dt, search)
+        # increasing case: everything contracts onto the unique fixed point;
+        # the amplitude is the gap of its stationary limit
         try:
-            if ws is not None:
-                _, gap = _policy_fixed_point(ws, np.full(g.n, 0.1), fp_tol)
-            else:
-                gap = _iterate_to_limit(
-                    lambda f: evolve(model, f, 1.0, dt, search=search),
-                    Field.constant(g, 0.1), fp_tol, math.ceil(t_fp_max),
-                    fp_tol)[1][-1]
+            _, gap = stationary_limit(model, Field.constant(g, 0.1), fp_tol,
+                                      t_fp_max, dt, search)
         except NotConverged as exc:
             return BifurcationRow(lam, "fixed_point", math.nan, math.nan,
                                   math.nan, error=str(exc))

@@ -18,8 +18,8 @@ from . import semigroup as sg
 from .errors import FlatObjective
 from .model import (HamiltonianModel, check_assumptions,
                     constant_drift_model, cosine_potential_model,
-                    derivative_consistency, estimate_critical_value,
-                    legendre_transform, make_quadratic_model)
+                    derivative_consistency, legendre_transform,
+                    make_quadratic_model)
 
 EPS_CD = 0.5 / (4.0 * math.pi ** 2)  # subsolution amplitude of CD(1, 0.5)
 
@@ -222,7 +222,8 @@ def check_policy_fixed_point(model=None):
         return False, "the model's step does not contract"
     record = sg.RunRecord()
     with sg.recording(record):
-        _, residual = sg._policy_fixed_point(ws, np.full(g.n, 0.1), 1e-10)
+        _, residual = sg._policy_fixed_point(ws, np.full(g.n, 0.1), 1e-10,
+                                             1.0 - ws.dt * ws.affine)
     ok = residual <= 1e-13 and record.policy_sweeps <= 10
     return ok, (f"residual {residual:.1e} (tol 1e-13) after "
                 f"{record.policy_sweeps} sweeps (at most 10)")
@@ -334,7 +335,7 @@ def check_trichotomy_golden(model=None):
 
 def check_critical_value(model=None):
     model = model or make_quadratic_model(1.0, 0.0, "0.2*cos(2*pi*x)", 0.0)
-    c = estimate_critical_value(model)
+    c = sg.estimate_critical_value(model)
     ok = abs(c - 0.2) <= 1e-2
     return ok, f"mechanical critical value {c:.4f} (expect 0.2 +- 1e-2)"
 
@@ -351,6 +352,7 @@ FAST_CHECKS = [
     ("generic-step-certified", check_generic_step_certified),
     ("evolve-matches-steps", check_evolve_matches_steps),
     ("policy-fixed-point", check_policy_fixed_point),
+    ("critical-value-mechanical", check_critical_value),
     ("subsolution-constant-drift", check_subsolution_cd),
     ("min-shift-synthetic", check_minshift_synthetic),
     ("detect-period-flat", check_detect_period_flat),
@@ -362,7 +364,6 @@ FULL_CHECKS = FAST_CHECKS + [
     ("action-cross-check", check_action_cross),
     ("pinned-limit-constant-drift", check_pinned_limit_cd),
     ("trichotomy-golden", check_trichotomy_golden),
-    ("critical-value-mechanical", check_critical_value),
 ]
 
 

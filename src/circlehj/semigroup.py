@@ -41,7 +41,9 @@ datum.  ``_policy_fixed_point`` solves for it by Howard's policy
 iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009):
 one window sweep fixes each node's velocity, one dense linear solve
 evaluates that policy, and a sweep whose residual the contraction bound
-turns into the tolerance certifies the result.
+turns into the tolerance certifies the result.  ``stationary_limit``
+takes this solve where it applies and the period map elsewhere;
+``estimate_critical_value`` runs it on the frozen model's discounted step.
 
 ``evolve`` keeps the raw values of the running state, clips them to the
 cap in place and builds a Field only for a snapshot; a Field derives its
@@ -70,7 +72,7 @@ from .errors import (BracketFail, CapTooSmall, InnerNotConverged,
                      NoTrajectoryLanded, NotConverged)
 from .flow import BLOW_LIMIT, _rk4_step, contact_field
 from .model import (DEFAULT_SEARCH, HamiltonianModel, SearchParams,
-                    conjugate_model, solve_p_star_batch)
+                    conjugate_model, freeze_classical, solve_p_star_batch)
 
 _log = logging.getLogger(__name__)
 
@@ -638,12 +640,10 @@ def _has_caps(field: Field) -> bool:
 def _iterate_to_limit(advance, start: Field, tol, n_max, accept_tol):
     """Iterate a period map to (quasi) stationarity.
 
-    This serves the limits that policy iteration does not: models without
-    a coefficient record, the repelling period maps of the decreasing
-    regime (pinned and long-time periodic limits, ``weak_kam_backward``)
-    and every other map whose step does not contract.  The forward weak
-    KAM solution and the lam < 0 bifurcation rows of quadratic-family
-    models take ``_policy_fixed_point`` instead.
+    Its callers are the pinned and long-time periodic limits and
+    ``stationary_limit`` where the step does not contract (no coefficient
+    record, or the repelling maps of the decreasing regime, as for
+    ``weak_kam_backward`` there) or the datum is capped.
 
     ``advance`` maps a field to the EvolutionTrace of one period.  An
     increment (sup distance between consecutive iterates) counts only
@@ -717,34 +717,35 @@ def _contracting_workspace(model: HamiltonianModel, grid: Grid, dt: float,
     return _StepWorkspace(model, grid, 1.0 / steps, search)
 
 
-def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float):
-    """Fixed point of the contracting quadratic-family step S of ``ws``
-    (ws.affine < 0), by Howard's policy iteration from the policy of w0.
+def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float,
+                        rate: float):
+    """Fixed point of S(w) = best(w) / rate, best the window minimum of
+    ``ws`` at u = 0 and rate > 1, by Howard's policy iteration from the
+    policy of w0.  Precondition: the window minimum does not depend on u,
+    as for a quadratic-family (rate = 1 - dt lam) or frozen model.
 
-    S(w) = best(w) / r with r = 1 - dt lam > 1, best the window minimum at
-    u = 0, is a min-plus contraction of rate 1/r.  Each sweep is one
+    S is a min-plus contraction of rate 1/rate.  Each sweep is one
     window_minimum at w, which gives S(w) and each node's window column j
     and velocity v*, and so the foot cell k = i + offset[j] and fraction
     theta = off_j - v* dt n.  The sweep certifies w once
-    max|S(w) - w| <= (1 - 1/r) tol, which puts w within tol of the fixed
-    point.  Otherwise the policy is evaluated by one dense solve of
-        r w_i - (1 - theta_i) w_k - theta_i w_{k+1} = c_i,
+    max|S(w) - w| <= (1 - 1/rate) tol, which puts w within tol of the
+    fixed point.  Otherwise the policy is evaluated by one dense solve of
+        rate w_i - (1 - theta_i) w_k - theta_i w_{k+1} = c_i,
     c_i = best_i less its interpolated datum, an M-matrix system since
-    every row sums to r - 1 > 0.
+    every row sums to rate - 1 > 0.
 
     Each sweep counts in the run record, and the certifying sweep's
     nodes at +-v_max count as window hits.  Returns (w, certifying
     residual); raises NotConverged after INNER_MAX_ITER sweeps.
     """
     _warn_if_coarse(ws.dt, ws.grid, ws.search)
-    rate = 1.0 - ws.dt * ws.affine
     bound = (1.0 - 1.0 / rate) * tol
     n = ws.grid.n
     i = ws._node_index
     record = _RUN_RECORD.get()
     w = np.asarray(w0, dtype=float)
     for sweep in range(1, INNER_MAX_ITER + 1):
-        best, v_star, j = ws.window_minimum(w, None)
+        best, v_star, j = ws.window_minimum(w, np.zeros(n))
         if record is not None:
             record.policy_sweeps += 1
         residual = float(np.max(np.abs(best / rate - w)))
@@ -769,36 +770,55 @@ def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float):
         f"{INNER_MAX_ITER} sweeps (certifies at {bound:g})")
 
 
+def stationary_limit(model: HamiltonianModel, start: Field, tol, t_max, dt,
+                     search: SearchParams = DEFAULT_SEARCH, accept_tol=None):
+    """(limit, gap): the stationary limit of T- from ``start``.
+
+    Where the step contracts (a coefficient record with lam < 0) and
+    ``start`` is uncapped, it is the fixed point by ``_policy_fixed_point``
+    and the gap its certifying residual.  Otherwise the period-1 map
+    runs through ``_iterate_to_limit`` within ceil(t_max) periods,
+    accepting an increment <= accept_tol (tol by default), and the gap is
+    the last counted increment.
+    """
+    ws = (_contracting_workspace(model, start.grid, dt, search)
+          if start.cap_value is None else None)
+    if ws is not None:
+        w, gap = _policy_fixed_point(ws, start.values, tol,
+                                     1.0 - ws.dt * ws.affine)
+        return Field(start.grid, w), gap
+    limit, history, _, _ = _iterate_to_limit(
+        lambda f: evolve(model, f, 1.0, dt, search=search), start, tol,
+        math.ceil(t_max), tol if accept_tol is None else accept_tol)
+    return limit, history[-1]
+
+
 def weak_kam_forward(model: HamiltonianModel, grid: Grid, tol=1e-6, t_max=80.0,
                      dt: Optional[float] = None,
                      search: SearchParams = DEFAULT_SEARCH,
                      phi0: Optional[Field] = None) -> Field:
     """Forward weak KAM solution: the stationary limit of T+ from phi0
-    (zero by default).
+    (zero by default), to within tol.
 
-    Where the conjugate step contracts (a coefficient record with
-    lam > 0), the limit is its fixed point, solved by policy iteration
-    from the policy of phi0 to within tol.  Otherwise T+ runs period by
-    period until the period-1 increment is <= tol, within t_max periods.
-    Raises ValueError on capped data, as evolve_forward does.
+    T+ negates the backward semigroup of the conjugate model, so this is
+    the negated ``stationary_limit`` of that model from -phi0.  Raises
+    ValueError on capped data, as evolve_forward does.
     """
     dt = grid.h if dt is None else dt
     start = phi0 if phi0 is not None else Field.constant(grid, 0.0)
     if start.cap_value is not None:
         raise ValueError("weak_kam_forward takes uncapped data only")
-    ws = _contracting_workspace(conjugate_model(model), grid, dt, search)
-    if ws is not None:
-        return Field(grid, -_policy_fixed_point(ws, -start.values, tol)[0])
-    return _iterate_to_limit(
-        lambda f: evolve_forward(model, f, 1.0, dt, search=search), start,
-        tol, math.ceil(t_max), tol)[0]
+    limit, _ = stationary_limit(conjugate_model(model),
+                                Field(grid, -start.values), tol, t_max, dt,
+                                search)
+    return Field(grid, -limit.values)
 
 
 def weak_kam_backward(model: HamiltonianModel, u_plus: Field, tol=1e-6,
                       t_max=80.0, dt: Optional[float] = None,
                       search: SearchParams = DEFAULT_SEARCH,
                       accept_tol=5e-3) -> Field:
-    """Backward weak KAM solution as the long-time limit of T- from u_plus.
+    """Backward weak KAM solution: the ``stationary_limit`` from u_plus.
 
     For strictly decreasing models the stationary state repels every
     datum that does not touch it exactly, so the grid-level error of
@@ -808,9 +828,26 @@ def weak_kam_backward(model: HamiltonianModel, u_plus: Field, tol=1e-6,
     below accept_tol, otherwise NotConverged is raised.
     """
     dt = u_plus.grid.h if dt is None else dt
-    return _iterate_to_limit(
-        lambda f: evolve(model, f, 1.0, dt, search=search), u_plus, tol,
-        math.ceil(t_max), accept_tol)[0]
+    return stationary_limit(model, u_plus, tol, t_max, dt, search,
+                            accept_tol)[0]
+
+
+def estimate_critical_value(model: HamiltonianModel,
+                            search: SearchParams = DEFAULT_SEARCH) -> float:
+    """Critical value c of the frozen Hamiltonian H(x, p, 0) by vanishing
+    discount (Davini, Fathi, Iturriaga & Zavidovique, Invent. Math. 206,
+    2016): the solution w of eps w + H(x, w_x, 0) = 0 has -eps w -> c
+    with an error O(eps).  Its scheme, w = S(w) / (1 + dt eps) with S a
+    step of the frozen model, is solved from zero at n = 128, dt = 4e-3
+    and eps = 1e-3, to 1e-3 in w (1e-6 in c).  Returns -eps min w;
+    raises NotConverged when the solve does not certify.
+    """
+    eps, dt = 1e-3, 4e-3
+    ws = _StepWorkspace(freeze_classical(model), Grid(128), dt, search)
+    w, _ = _policy_fixed_point(ws, np.zeros(ws.grid.n), 1e-3, 1.0 + dt * eps)
+    c = -eps * float(np.min(w))
+    _log.info("critical value %.7g at discount %g", c, eps)
+    return c
 
 
 @dataclass

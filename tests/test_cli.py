@@ -135,6 +135,16 @@ def test_config_error_exit_4(tmp_path):
                      "--out", missing]) == 4
 
 
+def test_bifurcate_grid_error_exit_4(tmp_path):
+    # a bad sweep grid fails the command, not each row as degenerate
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("bifurcate.lambdas = -0.2,0.2\nbifurcate.grid_n = 100\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["bifurcate", "--config", str(cfg), "--out", out]) == 4
+    assert manifest_of(out)["exit_status"] == 4
+    assert not os.path.exists(os.path.join(out, "bifurcation.csv"))
+
+
 @pytest.mark.parametrize("line", [
     "model.V = exp(x", 'model.V = __import__("os").getpid()*0',
     "evolve.phi = sqrt(x)", "model.b = x.real", "model.V = cos(x, 1)",
@@ -339,7 +349,7 @@ def test_normalize_c_flag(tmp_path):
     meta = manifest_of(out)
     assert abs(meta["normalized_c"]) <= 1e-3  # already normalized family
     assert meta["period"] == pytest.approx(1.0, abs=1e-6)
-    # the critical-value evolution runs dt = 4e-3 above h/v_max = 7.8e-4
+    # the critical-value solve runs dt = 4e-3 above h/v_max = 7.8e-4
     assert meta["accuracy_warnings"] == 1
 
 

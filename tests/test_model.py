@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from circlehj import semigroup as sg
 from circlehj.errors import NoBracket, NonPositiveA, NotConverged
 from circlehj.model import (HamiltonianModel, check_assumptions,
                             compile_expression, conjugate_model,
                             constant_drift_model, cosine_potential_model,
-                            derivative_consistency, estimate_critical_value,
-                            freeze_classical, lagrangian, legendre_transform,
+                            derivative_consistency, freeze_classical,
+                            lagrangian, legendre_transform,
                             make_quadratic_model, shift_hamiltonian,
                             solve_p_star_batch)
+from circlehj.semigroup import estimate_critical_value
 
 
 def quartic_model():
@@ -293,8 +295,17 @@ def test_critical_value_mechanical():
     assert c == pytest.approx(0.2, abs=1e-2)
 
 
-def test_critical_value_not_converged():
-    # drifted potential: the minimum point travels, so short windows disagree
+def test_critical_value_without_record():
+    # the frozen record-less model takes the generic cell minimum at u = 0
+    mech = make_quadratic_model(1.0, 0.0, "0.2*cos(2*pi*x)", 0.0)
+    bare = dataclasses.replace(mech, quad_coeffs=None)
+    assert estimate_critical_value(bare) == pytest.approx(
+        estimate_critical_value(mech), abs=1e-9)
+
+
+def test_critical_value_not_converged(monkeypatch):
+    # one policy sweep cannot certify the drifted potential's solve
+    monkeypatch.setattr(sg, "INNER_MAX_ITER", 1)
     drifted = make_quadratic_model(1.0, 2.0, "0.3*cos(2*pi*x)", 0.0)
     with pytest.raises(NotConverged):
-        estimate_critical_value(drifted, horizon=2.0, slope_tol=1e-9)
+        estimate_critical_value(drifted)

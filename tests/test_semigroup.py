@@ -837,7 +837,8 @@ def policy_solve(model, grid, tol, search=sg.DEFAULT_SEARCH, w0=0.1):
     with warnings.catch_warnings(record=True) as caught, sg.recording(record):
         warnings.simplefilter("always")
         ws = sg._contracting_workspace(model, grid, grid.h, search)
-        w, residual = sg._policy_fixed_point(ws, np.full(grid.n, w0), tol)
+        w, residual = sg._policy_fixed_point(ws, np.full(grid.n, w0), tol,
+                                             1.0 - ws.dt * ws.affine)
     accuracy = sum(issubclass(c.category, sg.AccuracyWarning) for c in caught)
     return w, residual, record.policy_sweeps, record.window_hits, accuracy
 
@@ -914,6 +915,19 @@ def test_weak_kam_forward_takes_policy_path(cdv_model):
     with pytest.raises(ValueError, match="uncapped"):
         sg.weak_kam_forward(cdv_model, g, phi0=sg.Field.pinned(g, 0.0, 0.0,
                                                                50.0))
+
+
+def test_weak_kam_backward_takes_policy_path():
+    g = sg.Grid(128)
+    model = cosine_family(-0.2)
+    record = sg.RunRecord()
+    with sg.recording(record), warnings.catch_warnings():
+        warnings.simplefilter("ignore", sg.AccuracyWarning)
+        u_minus = sg.weak_kam_backward(model, sg.Field.constant(g, 0.1),
+                                       tol=1e-10)
+    assert record.policy_sweeps > 0 and record.limit_periods == 0
+    step = sg.lax_oleinik_step(model, u_minus, g.h)
+    assert np.max(np.abs(step.values - u_minus.values)) <= 1e-13
 
 
 # ------------------------------------------------- exact step invariants
