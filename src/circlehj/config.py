@@ -5,7 +5,8 @@ comments allowed.  Coefficient and initial-datum values are expressions
 in x, checked at parse time against the grammar of
 `model.compile_expression` (numbers, x, pi, + - * / **, unary +-, cos
 and sin) and evaluated, with their x-derivatives, on the nodes of
-`grid.n`, where every value must be finite; everything else is numeric.
+`grid.n`, where every value must be finite; everything else is numeric,
+and every float must be finite.
 Unknown keys are rejected so a typo cannot silently fall back to a
 default.
 """
@@ -13,6 +14,7 @@ default.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,6 +104,7 @@ _POSITIVE = {
     ("subsolution", "n_x"), ("subsolution", "n_t"), ("periodic", "dt"),
     ("trichotomy", "dt"), ("weakkam", "dt"),
 }
+_NONNEGATIVE = {("evolve", "T")}
 
 
 @dataclass
@@ -131,10 +134,13 @@ def _convert(section, key, raw, kind):
             value = raw
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind}") from exc
-    if (section, key) in _POSITIVE:
-        bad = (min(value) if kind == "floats" else value) <= 0
-        if bad:
-            raise ConfigError(f"{section}.{key} must be positive, got {raw!r}")
+    numbers = value if kind == "floats" else [value]
+    if kind in ("float", "floats") and not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+    if (section, key) in _POSITIVE and min(numbers) <= 0:
+        raise ConfigError(f"{section}.{key} must be positive, got {raw!r}")
+    if (section, key) in _NONNEGATIVE and value < 0:
+        raise ConfigError(f"{section}.{key} must be nonnegative, got {raw!r}")
     return value
 
 

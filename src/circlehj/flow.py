@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BlowUp, NotConverged, TurningPoint
 from .model import HamiltonianModel
 
-B_MIN_TOL = 1e-6
+B_MIN_TOL = 1e-6     # |H_p| below which a graph is not transverse
 BLOW_LIMIT = 500.0   # |p| and |u| bound of the contact flow
 _SWEEP_BLOW = 1e8    # |p| and |u| bound of the graph sweep
 
@@ -157,15 +157,15 @@ def integrate_contact(model: HamiltonianModel, s0: ContactState, t_span, dt):
     return np.array(times), states, winding
 
 
-def _not_transverse(hp, x, b_min_tol):
+def _not_transverse(hp, x):
     """The TurningPoint raised where the graph speed |H_p| is too small."""
     return TurningPoint(
-        f"|dH/dp| = {abs(hp):.3g} < {b_min_tol:g} near x = {x:.6f}; "
+        f"|dH/dp| = {abs(hp):.3g} < {B_MIN_TOL:g} near x = {x:.6f}; "
         "the candidate graph is not transverse"
     )
 
 
-def _graph_field(model: HamiltonianModel, n, b_min_tol):
+def _graph_field(model: HamiltonianModel, n):
     """Field of the graph ODE d(t, p, u)/dx for a sweep over n cells.
 
     It is the contact field divided by x' = H_p:
@@ -173,7 +173,7 @@ def _graph_field(model: HamiltonianModel, n, b_min_tol):
     as field(k, j, t, p, u), at x = k/n + j/(2n).  Quadratic models read
     their coefficients from tables at the stage points i/(2n), i = 2k + j,
     so the sweep runs in plain floats; other models call back.  Raises
-    TurningPoint when |H_p| drops below b_min_tol.
+    TurningPoint when |H_p| drops below B_MIN_TOL.
 
     Returns (field, array_kw).  Called with the keywords ``array_kw``, the
     same field takes numpy arrays k, p and u of one shape and evaluates
@@ -185,11 +185,11 @@ def _graph_field(model: HamiltonianModel, n, b_min_tol):
     q = model.quad_coeffs
     if q is None:
         # Python floats: numpy scalars would slow the sweep's arithmetic
-        def field(k, j, t, pv, uv, real=float, tol=b_min_tol):
+        def field(k, j, t, pv, uv, real=float, tol=B_MIN_TOL):
             x = k * h + half * j
             hp, dp, hv = _callback_terms(model, x, pv, uv)
             if tol and abs(hp) < tol:
-                raise _not_transverse(hp, x, tol)
+                raise _not_transverse(hp, x)
             inv = 1.0 / real(hp)
             return inv, inv * real(dp), pv - real(hv) * inv
         return field, dict(real=np.asarray, tol=0.0)
@@ -203,12 +203,12 @@ def _graph_field(model: HamiltonianModel, n, b_min_tol):
     lam = float(q.lam)
 
     def field(k, j, t, pv, uv, A=A, Ap=Ap, B=B, Bp=Bp, c_hx=c_hx, c_h=c_h,
-              tol=b_min_tol):
+              tol=B_MIN_TOL):
         i = 2 * k + j
         q = pv + B[i]
         hp = A[i] * q
         if tol and abs(hp) < tol:
-            raise _not_transverse(hp, i * half, tol)
+            raise _not_transverse(hp, i * half)
         hx = (0.5 * Ap[i] * q + A[i] * Bp[i]) * q + c_hx[i]
         hval = 0.5 * A[i] * q * q + c_h[i] - lam * uv
         inv = 1.0 / hp
@@ -237,16 +237,14 @@ def _graph_sweep(field, p0, u0, n):
     return np.array(t), np.array(p), np.array(u)
 
 
-def integrate_reduced(model: HamiltonianModel, p_start, u_start, n=1024,
-                      b_min_tol=B_MIN_TOL):
+def integrate_reduced(model: HamiltonianModel, p_start, u_start, n=1024):
     """RK4 sweep of the graph ODE in the circle coordinate on [0, 1].
 
     Integrates dt/dx = 1/H_p and the matching equations for p and u on n
     uniform steps; returns the inclusive tables (t, p, u) at x_k = k/n.
-    Raises TurningPoint when |H_p| drops below b_min_tol.
+    Raises TurningPoint when |H_p| drops below B_MIN_TOL.
     """
-    return _graph_sweep(_graph_field(model, n, b_min_tol)[0], p_start,
-                        u_start, n)
+    return _graph_sweep(_graph_field(model, n)[0], p_start, u_start, n)
 
 
 def _sweep_jacobian(field, array_kw, p, u):
@@ -293,9 +291,8 @@ def _sweep_jacobian(field, array_kw, p, u):
     return mats[0]
 
 
-def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
-                           newton_tol=1e-12, max_iter=100,
-                           b_min_tol=B_MIN_TOL) -> OrbitResult:
+def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0),
+                           n=1024) -> OrbitResult:
     """Damped Newton solve of the periodic boundary value problem.
 
     The residual is (p(1) - p(0), u(1) - u(0)) from the circle sweep;
@@ -309,9 +306,9 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
     search: once per step when the full step is taken.  Raises
     TurningPoint where the graph speed vanishes (also when that leaves
     the Jacobian non-finite) and NotConverged when the Jacobian is
-    singular, the damping fails or max_iter steps do not reach newton_tol.
+    singular, the damping fails or 100 steps do not reach 1e-12.
     """
-    field, array_kw = _graph_field(model, n, b_min_tol)
+    field, array_kw = _graph_field(model, n)
 
     def shot(qv):
         """(tables, residual) of the sweep from qv = (p0, u0)."""
@@ -327,8 +324,8 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
     q = np.array(guess, dtype=float)
     tables, r = shot(q)  # raises TurningPoint on a bad guess
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(r)) <= newton_tol:
+    for iterations in range(1, 101):
+        if np.max(np.abs(r)) <= 1e-12:
             break
         jac = _sweep_jacobian(field, array_kw, tables[1], tables[2]) - np.eye(2)
         if not np.all(np.isfinite(jac)):
@@ -355,7 +352,7 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
         q, (tables, r) = accepted
     else:
         raise NotConverged(
-            f"shooting Newton did not reach {newton_tol:g} in {max_iter} steps "
+            f"shooting Newton did not reach 1e-12 in 100 steps "
             f"(residual {np.max(np.abs(r)):.3g})"
         )
 
@@ -374,7 +371,7 @@ def shoot_stationary_orbit(model: HamiltonianModel, guess=(0.0, 0.0), n=1024,
     )
 
 
-def check_condition_A(orbit: OrbitResult, b_min_tol=B_MIN_TOL):
+def check_condition_A(orbit: OrbitResult):
     """Transversality of the stationary graph: (holds, min |speed|)."""
     min_abs = float(np.min(np.abs(orbit.speed)))
-    return min_abs > b_min_tol, min_abs
+    return min_abs > B_MIN_TOL, min_abs

@@ -232,8 +232,8 @@ def compile_expression(spec):
     return f, f_x
 
 
-def make_quadratic_model(a, b, V, lam, kappa=None, delta=None,
-                         a_min=1e-12) -> HamiltonianModel:
+def make_quadratic_model(a, b, V, lam, kappa=None,
+                         delta=None) -> HamiltonianModel:
     """Build a member of the quadratic family with exact derivatives.
 
     ``a``, ``b``, ``V`` are numbers or expression strings in x (period 1)
@@ -242,7 +242,7 @@ def make_quadratic_model(a, b, V, lam, kappa=None, delta=None,
     the flat section p = 0, u = 0 lie on the zero-energy surface whenever
     V = 0.
 
-    Raises NonPositiveA if the sampled kinetic coefficient is not > a_min.
+    Raises NonPositiveA if the sampled kinetic coefficient is not > 1e-12.
     """
     a_f, a_d = compile_expression(a)
     b_f, b_d = compile_expression(b)
@@ -250,8 +250,8 @@ def make_quadratic_model(a, b, V, lam, kappa=None, delta=None,
     lam = float(lam)
 
     xs = np.linspace(0.0, 1.0, 512, endpoint=False)
-    if np.min(a_f(xs)) <= a_min:
-        raise NonPositiveA(f"sampled a(x) has min {np.min(a_f(xs)):g} <= {a_min:g}")
+    if np.min(a_f(xs)) <= 1e-12:
+        raise NonPositiveA(f"sampled a(x) has min {np.min(a_f(xs)):g} <= 1e-12")
 
     def eval_H(x, p, u):
         av = a_f(x)
@@ -360,7 +360,7 @@ def shift_hamiltonian(model: HamiltonianModel, c: float) -> HamiltonianModel:
     )
 
 
-def solve_p_star_batch(model, x, v, u, p_max=10.0, tol=1e-12, max_iter=60):
+def solve_p_star_batch(model, x, v, u, p_max=10.0):
     """Vectorized momentum solve d_p(x, p*, u) = v, clipped to [-p_max, p_max].
 
     Newton from p = 0 with Hessian floor until every element is settled:
@@ -376,9 +376,9 @@ def solve_p_star_batch(model, x, v, u, p_max=10.0, tol=1e-12, max_iter=60):
                                   np.asarray(u, float))
     p = np.zeros(x.shape)
     scale = 1.0 + np.abs(v)
-    for _ in range(max_iter):
+    for _ in range(60):
         g = model.d_p(x, p, u) - v
-        settled = ((np.abs(g) <= tol * scale) | ((p <= -p_max) & (g > 0.0))
+        settled = ((np.abs(g) <= 1e-12 * scale) | ((p <= -p_max) & (g > 0.0))
                    | ((p >= p_max) & (g < 0.0)))
         if np.all(settled):
             break
@@ -439,8 +439,8 @@ def legendre_transform(model, x, v, u,
     return v * p - float(model.eval_H(x, p, u)), p
 
 
-def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH,
-                      n_x=16, n_p=12, n_u=8) -> AssumptionReport:
+def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH
+                      ) -> AssumptionReport:
     """Sample the structural assumptions on a compact window.
 
     Convexity and the strict-decrease band are checked on a grid of
@@ -448,9 +448,9 @@ def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH,
     evaluated through the Legendre machinery (min_p H = -L(x, 0, 0)).
     Failures are reported, never raised.
     """
-    xg = np.linspace(0.0, 1.0, n_x, endpoint=False)
-    pg = np.linspace(-search.p_max, search.p_max, n_p)
-    ug = np.linspace(-search.u_max, search.u_max, n_u)
+    xg = np.linspace(0.0, 1.0, 16, endpoint=False)
+    pg = np.linspace(-search.p_max, search.p_max, 12)
+    ug = np.linspace(-search.u_max, search.u_max, 8)
     X, P, U = np.meshgrid(xg, pg, ug, indexing="ij")
 
     dpp = np.asarray(model.d_pp(X, P, U), dtype=float)
@@ -479,14 +479,13 @@ def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH,
     )
 
 
-def derivative_consistency(model, search: SearchParams = DEFAULT_SEARCH,
-                           n=64, fd_step=1e-6):
+def derivative_consistency(model, search: SearchParams = DEFAULT_SEARCH):
     """Worst central-difference mismatch of (d_p, d_x, d_u) against eval_H."""
     rng = np.random.default_rng(20240817)
-    x = rng.uniform(0.0, 1.0, n)
-    p = rng.uniform(-0.5 * search.p_max, 0.5 * search.p_max, n)
-    u = rng.uniform(-0.2 * search.u_max, 0.2 * search.u_max, n)
-    e = fd_step
+    x = rng.uniform(0.0, 1.0, 64)
+    p = rng.uniform(-0.5 * search.p_max, 0.5 * search.p_max, 64)
+    u = rng.uniform(-0.2 * search.u_max, 0.2 * search.u_max, 64)
+    e = 1e-6
     worst = 0.0
     fd_p = (model.eval_H(x, p + e, u) - model.eval_H(x, p - e, u)) / (2 * e)
     fd_x = (model.eval_H(x + e, p, u) - model.eval_H(x - e, p, u)) / (2 * e)

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import (EpsilonUnderflow, FlatObjective, NotConverged,
                      NotNontrivial, SliceCountIncompatible, TouchingViolated,
                      TurningPoint)
-from .flow import OrbitResult, check_condition_A, shoot_stationary_orbit
+from .flow import (B_MIN_TOL, OrbitResult, check_condition_A,
+                   shoot_stationary_orbit)
 from .model import HamiltonianModel
 from .semigroup import (DEFAULT_SEARCH, EvolutionTrace, Field, Grid,
                         SearchParams, _iterate_to_limit, evolve,
@@ -101,12 +102,12 @@ def subsolution_residual_exact(model: HamiltonianModel, spec: SubsolutionSpec,
 
 
 def verify_subsolution(model: HamiltonianModel, spec: SubsolutionSpec,
-                       n_x=256, n_t=64, fd_dx=None, fd_dt=None):
+                       n_x=256, n_t=64):
     """Max of the subsolution inequality by centered differences.
 
     Sampling aligns with the orbit tables (n_x must divide the table
-    size); the x finite-difference step defaults to the table spacing so
-    the stencil reads exact table nodes.
+    size); the x finite-difference step is the table spacing, so the
+    stencil reads exact table nodes, and the t step is 1e-4 periods.
     """
     orbit = spec.orbit
     table_n = orbit.x_nodes.size - 1
@@ -115,8 +116,8 @@ def verify_subsolution(model: HamiltonianModel, spec: SubsolutionSpec,
     xs = np.arange(n_x) / n_x
     period = orbit.period
     ts = np.linspace(0.0, period, n_t, endpoint=False)
-    dx = 1.0 / table_n if fd_dx is None else fd_dx
-    dt = 1e-4 * period if fd_dt is None else fd_dt
+    dx = 1.0 / table_n
+    dt = 1e-4 * period
     X = xs[:, None]
     T = ts[None, :]
     w_x = (spec.value(X + dx, T) - spec.value(X - dx, T)) / (2.0 * dx)
@@ -181,11 +182,11 @@ def _touching_band(phi: Field, u_plus):
     return phi.values - u_plus, max(3.0 * g.h * lip, 1e-12)
 
 
-def _upwind_pde_residual(model, slices, times, smooth_slope_factor=5.0):
+def _upwind_pde_residual(model, slices, times):
     """Upwind residual of the evolution equation at smooth nodes.
 
-    Nodes where the one-sided slopes differ by more than
-    smooth_slope_factor * h are shock candidates and are excluded; the
+    Nodes where the one-sided slopes differ by 5h or more are shock
+    candidates and are excluded; the
     time derivative is centered across neighboring slices.
     """
     grid = slices[0].grid
@@ -194,7 +195,7 @@ def _upwind_pde_residual(model, slices, times, smooth_slope_factor=5.0):
     mats = np.stack([s.values for s in slices])
     lefts = (mats - np.roll(mats, 1, axis=1)) / h
     rights = (np.roll(mats, -1, axis=1) - mats) / h
-    kinky = np.abs(lefts - rights) >= smooth_slope_factor * h
+    kinky = np.abs(lefts - rights) >= 5.0 * h
     worst = 0.0
     for k in range(1, len(slices) - 1):
         w = mats[k]
@@ -278,14 +279,14 @@ def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
                              orbit: OrbitResult, n_max=200, tol=5e-3,
                              dt: Optional[float] = None, m_slices=64,
                              u_cap=50.0, search: SearchParams = DEFAULT_SEARCH,
-                             auto_shift=True, localization_t=5.0,
-                             localization_radius_cells=3) -> PeriodicSolution:
+                             auto_shift=True,
+                             localization_t=5.0) -> PeriodicSolution:
     """Long-time periodic limit for data touching the stationary state.
 
     The datum is shifted so that min(phi - u+) = 0 (logged on the result;
     refused via TouchingViolated when auto_shift is off and the minimum
     is away from zero).  After convergence of the period map, the
-    evolution restricted to a small neighborhood of the touching set is
+    evolution restricted to the touching set grown by 3 cells is
     compared against the full one and the sup gap at localization_t is
     recorded.
     """
@@ -309,7 +310,7 @@ def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
 
     # localization: evolving only the data near the touching set must
     # reproduce the full evolution at late times
-    dilated = _dilate(gap <= touch_tol, localization_radius_cells)
+    dilated = _dilate(gap <= touch_tol, 3)
     pinned = Field(g, np.where(dilated, shifted.values, u_cap), u_cap)
     full_tr = evolve(model, shifted, localization_t, dt, search=search,
                      u_cap=u_cap)
@@ -426,13 +427,13 @@ class TrichotomyReport:
 
 def classify_trichotomy(model: HamiltonianModel, phi: Field, u_plus: Field,
                         t_budget=20.0, dt: Optional[float] = None,
-                        escape_level=5.0, u_cap=50.0,
+                        u_cap=50.0,
                         search: SearchParams = DEFAULT_SEARCH) -> TrichotomyReport:
     """Static sign classification with dynamic confirmation.
 
     The datum is compared to the forward stationary solution within a
-    band 3h*Lip(phi); the evolution then either escapes past
-    +-escape_level (D3/D2) or stays bounded over the budget (D1).  A
+    band 3h*Lip(phi); the evolution then either escapes past +-5 (D3/D2)
+    or stays bounded over the budget (D1).  A
     failed confirmation is reported on the flag, not raised.
     """
     dt = phi.grid.h if dt is None else dt
@@ -454,14 +455,14 @@ def classify_trichotomy(model: HamiltonianModel, phi: Field, u_plus: Field,
         # both are min(sign * values) >= level
         sign = 1.0 if klass == "D3_plus_infinity" else -1.0
         for t, s in zip(trace.times, trace.snapshots):
-            if float(np.min(sign * s.values)) >= escape_level:
+            if float(np.min(sign * s.values)) >= 5.0:
                 report.confirmed = True
                 report.escape_time = float(t)
                 break
         if not report.confirmed:
             report.inconclusive_reason = (
                 f"{'min' if sign > 0 else 'max'} never reached "
-                f"{sign * escape_level:g} within t = {t_budget:g}")
+                f"{sign * 5.0:g} within t = {t_budget:g}")
     else:
         if trace.diverged:
             report.inconclusive_reason = "evolution diverged despite touching data"
@@ -499,7 +500,7 @@ class BifurcationDiagram:
 
 def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
                grid_n: int, dt: Optional[float], pinned_tol: float,
-               fp_tol: float, n_max: int, t_fp_max: float,
+               fp_tol: float, n_max: int,
                search: SearchParams) -> BifurcationRow:
     g = Grid(grid_n)
     dt = g.h if dt is None else dt
@@ -513,7 +514,7 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
         # the amplitude is the gap of its stationary limit
         try:
             _, gap = stationary_limit(model, Field.constant(g, 0.1), fp_tol,
-                                      t_fp_max, dt, search)
+                                      60.0, dt, search)
         except NotConverged as exc:
             return BifurcationRow(lam, "fixed_point", math.nan, math.nan,
                                   math.nan, error=str(exc))
@@ -547,23 +548,23 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
 
 def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
                       grid_n=128, dt: Optional[float] = None, pinned_tol=5e-3,
-                      fp_tol=1e-4, n_max=200, t_fp_max=60.0, b_min_tol=1e-6,
+                      fp_tol=1e-4, n_max=200,
                       search: SearchParams = DEFAULT_SEARCH) -> BifurcationDiagram:
     """Classify the family member at each parameter value.
 
     Rows never abort the sweep; failures are recorded per row.  A row
     with lam < 0 is the fixed point: solved by policy iteration to fp_tol
     for a family with a coefficient record, else the period-map limit
-    within t_fp_max periods.  The transversality threshold estimate is
+    within 60 periods.  The transversality threshold estimate is
     the midpoint between the last positive parameter with min |dH/dp|
-    above b_min_tol and the first without, +inf when transversality holds
+    above B_MIN_TOL and the first without, +inf when transversality holds
     across the whole range.
     """
     rows = []
     for lam in sorted(float(l) for l in lambdas):
         try:
             rows.append(_sweep_row(family, lam, grid_n, dt, pinned_tol,
-                                   fp_tol, n_max, t_fp_max, search))
+                                   fp_tol, n_max, search))
         except Exception as exc:  # a row must never kill the sweep
             rows.append(BifurcationRow(
                 lam, "degenerate", math.nan, math.nan, math.nan,
@@ -574,7 +575,7 @@ def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
     for row in rows:
         if row.lam <= 0.0:
             continue
-        ok = (row.min_abs_b == row.min_abs_b) and row.min_abs_b > b_min_tol
+        ok = (row.min_abs_b == row.min_abs_b) and row.min_abs_b > B_MIN_TOL
         if prev_ok is not None and prev_ok[1] and not ok:
             lambda0 = 0.5 * (prev_ok[0] + row.lam)
             break

@@ -1,13 +1,15 @@
 """Built-in check suites: fast (closed-form cases) and full (golden runs).
 
 Each check returns (ok, detail).  The CLI prints one line per check and
-exits nonzero if any fails.  Checks accept an optional model so a
-deliberately broken model can be used to exercise the failure paths.
+exits nonzero if any fails.  Each check builds its own reference models;
+only ``check_h4_margin`` also accepts a model, so that a deliberately
+broken one can exercise the failure path.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 
@@ -24,8 +26,8 @@ from .model import (HamiltonianModel, check_assumptions,
 EPS_CD = 0.5 / (4.0 * math.pi ** 2)  # subsolution amplitude of CD(1, 0.5)
 
 
-def check_legendre_closed_form(model=None):
-    model = model or constant_drift_model(1.0, 0.5)
+def check_legendre_closed_form():
+    model = constant_drift_model(1.0, 0.5)
     L, p = legendre_transform(model, 0.3, 0.0, 0.0)
     if abs(L - 0.5) > 1e-10 or abs(p + 1.0) > 1e-9:
         return False, f"v=0 expected (0.5, -1), got ({L:g}, {p:g})"
@@ -44,8 +46,8 @@ def check_h4_margin(model=None):
     return True, f"H4 margin {rep.h4_margin:g} within [delta, kappa]"
 
 
-def check_assumption_reports(model=None):
-    cd = model or constant_drift_model(1.0, 0.5)
+def check_assumption_reports():
+    cd = constant_drift_model(1.0, 0.5)
     rep = check_assumptions(cd)
     if not rep.all_ok():
         return False, f"reference model failed assumptions: {rep}"
@@ -56,15 +58,15 @@ def check_assumption_reports(model=None):
     return True, "margins and failure flags behave as expected"
 
 
-def check_derivative_consistency(model=None):
-    model = model or cosine_potential_model()
+def check_derivative_consistency():
+    model = cosine_potential_model()
     worst = derivative_consistency(model)
     ok = worst <= 1e-5
     return ok, f"worst FD mismatch {worst:.2e} (tol 1e-5)"
 
 
-def check_orbit_cd(model=None):
-    model = model or constant_drift_model(1.0, 0.5)
+def check_orbit_cd():
+    model = constant_drift_model(1.0, 0.5)
     orbit = flow.shoot_stationary_orbit(model, guess=(0.1, 0.1))
     if abs(orbit.p0) > 1e-10 or abs(orbit.u0) > 1e-10:
         return False, f"orbit start ({orbit.p0:g}, {orbit.u0:g}) != (0, 0)"
@@ -89,10 +91,10 @@ def nonaffine_model():
         kappa=0.55, delta=0.45, name="custom-nonaffine")
 
 
-def sweep_jacobian_error(model, n, q=(0.1, 0.05), e=1e-5):
+def sweep_jacobian_error(model, n, q=(0.1, 0.05)):
     """Relative gap between the sweep Jacobian at q and central differences
-    of whole ``integrate_reduced`` sweeps with step e."""
-    field, array_kw = flow._graph_field(model, n, flow.B_MIN_TOL)
+    of whole ``integrate_reduced`` sweeps with step 1e-5."""
+    field, array_kw = flow._graph_field(model, n)
     _, p, u = flow._graph_sweep(field, q[0], q[1], n)
     got = flow._sweep_jacobian(field, array_kw, p, u)
     want = np.empty((2, 2))
@@ -100,23 +102,22 @@ def sweep_jacobian_error(model, n, q=(0.1, 0.05), e=1e-5):
         ends = []
         for sign in (1.0, -1.0):
             qs = np.array(q, dtype=float)
-            qs[j] += sign * e
+            qs[j] += sign * 1e-5
             _, ps, us = flow.integrate_reduced(model, qs[0], qs[1], n=n)
             ends.append(np.array([ps[-1], us[-1]]))
-        want[:, j] = (ends[0] - ends[1]) / (2.0 * e)
+        want[:, j] = (ends[0] - ends[1]) / 2e-5
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def check_shot_jacobian(model=None):
-    models = ([model] if model is not None
-              else [cosine_potential_model(), nonaffine_model()])
-    worst = max(sweep_jacobian_error(m, 256) for m in models)
+def check_shot_jacobian():
+    worst = max(sweep_jacobian_error(m, 256)
+                for m in (cosine_potential_model(), nonaffine_model()))
     return worst <= 1e-6, (f"sweep Jacobian vs central differences of sweeps: "
                            f"worst relative {worst:.1e} (tol 1e-6)")
 
 
-def check_step_trivial(model=None):
-    model = model or constant_drift_model(1.0, 0.5)
+def check_step_trivial():
+    model = constant_drift_model(1.0, 0.5)
     g = sg.Grid(128)
     w = sg.lax_oleinik_step(model, sg.Field.constant(g, 0.0), 1e-3)
     if np.max(np.abs(w.values)) > 1e-12:
@@ -128,8 +129,8 @@ def check_step_trivial(model=None):
     return True, "single steps match the value ODE"
 
 
-def check_window_minimum_exact(model=None):
-    model = model or constant_drift_model(1.0, 0.5)
+def check_window_minimum_exact():
+    model = constant_drift_model(1.0, 0.5)
     rng = np.random.default_rng(0)
     for n, dt in ((1024, 8e-3), (256, 1.0 / 256)):
         ws = sg._StepWorkspace(model, sg.Grid(n), dt, sg.DEFAULT_SEARCH)
@@ -145,15 +146,14 @@ def check_window_minimum_exact(model=None):
     return True, "strided search equals the full cell block bit for bit"
 
 
-def check_generic_step_certified(model=None):
-    model = model or nonaffine_model()
+def check_generic_step_certified():
+    model = nonaffine_model()
     g = sg.Grid(128)
     rng = np.random.default_rng(2)
     ws = sg._StepWorkspace(model, g, 1.0 / 16, sg.DEFAULT_SEARCH)
     for values in (0.1 * np.cos(2 * np.pi * g.nodes),
                    rng.uniform(-0.1, 0.1, g.n)):
-        w = sg.lax_oleinik_step(model, sg.Field(g, values), ws.dt,
-                                workspace=ws).values
+        w = sg.lax_oleinik_step(model, sg.Field(g, values), ws.dt).values
         residual = float(np.max(np.abs(ws.window_minimum(values, w)[0] - w)))
         # the plain iteration w = g(w) of full sweeps, from the datum
         plain = values
@@ -171,8 +171,8 @@ def check_generic_step_certified(model=None):
     return True, "generic step is a certified fixed point of the full sweep"
 
 
-def check_evolve_matches_steps(model=None):
-    model = model or constant_drift_model(1.0, 0.5)
+def check_evolve_matches_steps():
+    model = constant_drift_model(1.0, 0.5)
     rng = np.random.default_rng(1)
     # a window narrower than the drift puts capped nodes' minima on its end
     narrow = sg.SearchParams(v_max=0.5)
@@ -191,7 +191,7 @@ def check_evolve_matches_steps(model=None):
                 block, block_v = ws.cell_block(current.values, None)
                 v = block_v[np.arange(n), np.argmin(block, axis=1)]
                 current = sg.lax_oleinik_step(model, current, dt,
-                                              search=search, workspace=ws)
+                                              search=search)
                 edge = np.abs(v) == search.v_max
                 if current.cap_value is not None:
                     edge &= ~current.cap_mask
@@ -213,9 +213,9 @@ def check_evolve_matches_steps(model=None):
     return True, "evolve equals a chain of single steps bit for bit"
 
 
-def check_policy_fixed_point(model=None):
+def check_policy_fixed_point():
     """The lam < 0 fixed point by policy iteration, certified to round-off."""
-    model = model or make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", -0.2)
+    model = make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", -0.2)
     g = sg.Grid(128)
     ws = sg._contracting_workspace(model, g, g.h)
     if ws is None:
@@ -229,8 +229,8 @@ def check_policy_fixed_point(model=None):
                 f"{record.policy_sweeps} sweeps (at most 10)")
 
 
-def check_subsolution_cd(model=None):
-    model = model or constant_drift_model(1.0, 0.5)
+def check_subsolution_cd():
+    model = constant_drift_model(1.0, 0.5)
     orbit = flow.shoot_stationary_orbit(model, guess=(0.1, 0.1))
     spec = periodic.build_subsolution(model, orbit, x0=0.0)
     if abs(spec.epsilon - EPS_CD) > 1e-9:
@@ -243,7 +243,7 @@ def check_subsolution_cd(model=None):
     return True, f"amplitude {spec.epsilon:.8f}, residual {resid:.2e}"
 
 
-def check_minshift_synthetic(model=None):
+def check_minshift_synthetic():
     g = sg.Grid(64)
     m = 32
     times = np.arange(m + 1) / m
@@ -261,7 +261,7 @@ def check_minshift_synthetic(model=None):
     return True, "sin becomes -|sin| with half the period"
 
 
-def check_detect_period_flat(model=None):
+def check_detect_period_flat():
     g = sg.Grid(64)
     times = np.linspace(0.0, 7.0, 141)
     snaps = [sg.Field.constant(g, 0.0) for _ in times]
@@ -273,9 +273,9 @@ def check_detect_period_flat(model=None):
     return False, "stationary trace produced a period"
 
 
-def check_orbit_cdv_golden(model=None):
+def check_orbit_cdv_golden():
     from .golden import CDV_ORBIT
-    model = model or cosine_potential_model()
+    model = cosine_potential_model()
     orbit = flow.shoot_stationary_orbit(model)
     errs = (abs(orbit.p0 - CDV_ORBIT["p0"]), abs(orbit.u0 - CDV_ORBIT["u0"]),
             abs(orbit.period - CDV_ORBIT["period"]))
@@ -283,8 +283,8 @@ def check_orbit_cdv_golden(model=None):
     return ok, f"golden deviations {tuple(f'{e:.1e}' for e in errs)} (tol 1e-7)"
 
 
-def check_weak_kam_consistency(model=None):
-    model = model or cosine_potential_model()
+def check_weak_kam_consistency():
+    model = cosine_potential_model()
     orbit = flow.shoot_stationary_orbit(model)
     g = sg.Grid(256)
     u_plus = sg.weak_kam_forward(model, g)
@@ -293,8 +293,8 @@ def check_weak_kam_consistency(model=None):
     return ok, f"||u+ - u0|| = {err:.2e} at N=256 (tol 2e-2)"
 
 
-def check_action_cross(model=None):
-    model = model or cosine_potential_model()
+def check_action_cross():
+    model = cosine_potential_model()
     orbit = flow.shoot_stationary_orbit(model)
     g = sg.Grid(256)
     res = sg.action_function(model, 0.0, float(orbit.u0_at(0.0)), 0.3, 0.7,
@@ -304,8 +304,8 @@ def check_action_cross(model=None):
     return ok, f"grid/shooting gap {gap:.2e} (tol 5e-2)"
 
 
-def check_pinned_limit_cd(model=None):
-    model = model or constant_drift_model(1.0, 0.5)
+def check_pinned_limit_cd():
+    model = constant_drift_model(1.0, 0.5)
     orbit = flow.shoot_stationary_orbit(model, guess=(0.1, 0.1))
     sol = periodic.pinned_periodic_limit(model, orbit, grid=sg.Grid(256))
     if sol.period_residual > 5e-3:
@@ -316,8 +316,8 @@ def check_pinned_limit_cd(model=None):
                   f"{sol.amplitude_at_x0:.3f}")
 
 
-def check_trichotomy_golden(model=None):
-    model = model or constant_drift_model(1.0, 0.5)
+def check_trichotomy_golden():
+    model = constant_drift_model(1.0, 0.5)
     g = sg.Grid(256)
     u_plus = sg.Field.constant(g, 0.0)
     data = [
@@ -333,8 +333,8 @@ def check_trichotomy_golden(model=None):
     return True, "all three golden data classified and confirmed"
 
 
-def check_critical_value(model=None):
-    model = model or make_quadratic_model(1.0, 0.0, "0.2*cos(2*pi*x)", 0.0)
+def check_critical_value():
+    model = make_quadratic_model(1.0, 0.0, "0.2*cos(2*pi*x)", 0.0)
     c = sg.estimate_critical_value(model)
     ok = abs(c - 0.2) <= 1e-2
     return ok, f"mechanical critical value {c:.4f} (expect 0.2 +- 1e-2)"
@@ -367,11 +367,8 @@ FULL_CHECKS = FAST_CHECKS + [
 ]
 
 
-def run_selftest(level="fast", stream=None):
+def run_selftest(level="fast"):
     """Run the named check suite; returns the number of failures."""
-    import sys
-
-    stream = stream or sys.stdout
     checks = FAST_CHECKS if level == "fast" else FULL_CHECKS
     failures = 0
     with warnings.catch_warnings():
@@ -384,6 +381,6 @@ def run_selftest(level="fast", stream=None):
                 ok, detail = False, f"{type(exc).__name__}: {exc}"
             took = time.perf_counter() - start
             status = "PASS" if ok else "FAIL"
-            stream.write(f"[{status}] {name}: {detail} ({took:.1f}s)\n")
+            sys.stdout.write(f"[{status}] {name}: {detail} ({took:.1f}s)\n")
             failures += 0 if ok else 1
     return failures

@@ -45,11 +45,17 @@ turns into the tolerance certifies the result.  ``stationary_limit``
 takes this solve where it applies and the period map elsewhere;
 ``estimate_critical_value`` runs it on the frozen model's discounted step.
 
+A step reads a workspace, the tables and buffers that (model object,
+grid, dt, search window) determine.  ``_workspace_for`` builds it and
+keeps the last one in the calling thread's slot, to return while all
+four match: the periods of a limit and the evaluations of a
+reversibility solve step on one workspace.  Threads do not share the
+slot.  ``estimate_critical_value`` builds its own.  The contraction
+bound kappa*dt < 1/2 is checked once, when a workspace is built.
 ``evolve`` keeps the raw values of the running state, clips them to the
 cap in place and builds a Field only for a snapshot; a Field derives its
-cap mask from its values and cap.  The contraction bound kappa*dt < 1/2
-is checked once, when the workspace is built.  INNER_TOL and
-INNER_MAX_ITER bound the value fixed point of the generic step.
+cap mask from its values and cap.  INNER_TOL and INNER_MAX_ITER bound
+the value fixed point of the generic step.
 
 The forward semigroup is realized by conjugation: negate the datum,
 evolve under the model H(x,-p,-u), negate back.
@@ -61,6 +67,7 @@ import contextlib
 import contextvars
 import logging
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -254,6 +261,11 @@ class _StepWorkspace:
     values and slopes are sliding-window views of that padded copy.
     Each step writes the padded copy into buffers of the workspace, so a
     workspace serves one step at a time.
+
+    ``_workspace_for`` builds the workspaces of the steps and keeps the
+    last one in the calling thread's slot; threads do not share it.
+    ``estimate_critical_value`` and the checks that inspect a workspace
+    build their own.
     """
 
     def __init__(self, model: HamiltonianModel, grid: Grid, dt: float,
@@ -453,8 +465,7 @@ class _StepWorkspace:
 
 
 def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
-                     search: SearchParams = DEFAULT_SEARCH,
-                     workspace: Optional[_StepWorkspace] = None) -> Field:
+                     search: SearchParams = DEFAULT_SEARCH) -> Field:
     """One implicit Lax-Oleinik step of size dt.
 
     Capped nodes of the input participate with their cap value; the
@@ -462,7 +473,7 @@ def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
     the value fixed point stalls (impossible while kappa*dt < 1/2) and
     ValueError when dt breaks that contraction bound.
     """
-    ws = _workspace_for(model, phi.grid, dt, search, workspace)
+    ws = _workspace_for(model, phi.grid, dt, search)
     raw, _ = _step_values(ws, phi.values)
     cap = phi.cap_value
     if cap is None:
@@ -470,14 +481,25 @@ def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
     return Field(phi.grid, np.minimum(raw, cap, out=raw), cap)
 
 
-def _workspace_for(model, grid, dt, search, workspace):
-    """``workspace`` if it was built for this model object, grid, dt and
-    search window; otherwise a new workspace for them."""
-    ws = workspace
-    if (ws is not None and ws.model is model and ws.grid == grid
-            and ws.dt == dt and ws.search == search):
-        return ws
-    return _StepWorkspace(model, grid, dt, search)
+_SLOT = threading.local()
+
+
+def _workspace_for(model, grid, dt, search):
+    """The step workspace of this model object, grid, dt and search
+    window: the one in the calling thread's slot while all four match,
+    else a new one, which takes the slot.  Reuse changes no value."""
+    ws = getattr(_SLOT, "workspace", None)
+    if (ws is None or ws.model is not model or ws.grid != grid
+            or ws.dt != dt or ws.search != search):
+        _SLOT.workspace = None          # free the old buffers first
+        ws = _SLOT.workspace = _StepWorkspace(model, grid, dt, search)
+    return ws
+
+
+def _step_count(T, dt):
+    """Steps of at most dt that cover the horizon T: ceil(T/dt), less a
+    1e-12 slack so that round-off in T/dt adds no step."""
+    return max(1, math.ceil(T / dt - 1e-12))
 
 
 def _step_values(ws: _StepWorkspace, values: np.ndarray):
@@ -558,8 +580,8 @@ def _warn_if_coarse(dt, grid, search):
 
 def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
            snapshot_every: Optional[float] = None,
-           search: SearchParams = DEFAULT_SEARCH, u_cap: float = 50.0,
-           workspace: Optional[_StepWorkspace] = None) -> EvolutionTrace:
+           search: SearchParams = DEFAULT_SEARCH,
+           u_cap: float = 50.0) -> EvolutionTrace:
     """Run the backward semigroup for time T, collecting snapshots.
 
     dt is an upper bound; the actual step is T/steps so the horizon is hit
@@ -572,11 +594,11 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
     grid = phi.grid
     if T == 0.0:
         return EvolutionTrace(np.array([0.0]), [phi.copy()], model.name, dt)
-    steps = max(1, math.ceil(T / dt - 1e-12))
+    steps = _step_count(T, dt)
     dt_eff = T / steps
     _warn_if_coarse(dt_eff, grid, search)
     stride = steps if snapshot_every is None else max(1, round(snapshot_every / dt_eff))
-    ws = _workspace_for(model, grid, dt_eff, search, workspace)
+    ws = _workspace_for(model, grid, dt_eff, search)
     cap = phi.cap_value
     half = u_cap / 2.0
     times = [0.0]
@@ -713,8 +735,7 @@ def _contracting_workspace(model: HamiltonianModel, grid: Grid, dt: float,
     q = model.quad_coeffs
     if q is None or q.lam >= 0.0:
         return None
-    steps = max(1, math.ceil(1.0 / dt - 1e-12))
-    return _StepWorkspace(model, grid, 1.0 / steps, search)
+    return _workspace_for(model, grid, 1.0 / _step_count(1.0, dt), search)
 
 
 def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float,
@@ -816,8 +837,7 @@ def weak_kam_forward(model: HamiltonianModel, grid: Grid, tol=1e-6, t_max=80.0,
 
 def weak_kam_backward(model: HamiltonianModel, u_plus: Field, tol=1e-6,
                       t_max=80.0, dt: Optional[float] = None,
-                      search: SearchParams = DEFAULT_SEARCH,
-                      accept_tol=5e-3) -> Field:
+                      search: SearchParams = DEFAULT_SEARCH) -> Field:
     """Backward weak KAM solution: the ``stationary_limit`` from u_plus.
 
     For strictly decreasing models the stationary state repels every
@@ -825,11 +845,10 @@ def weak_kam_backward(model: HamiltonianModel, u_plus: Field, tol=1e-6,
     u_plus eventually amplifies.  The iteration therefore returns the
     quasi-stationary iterate (smallest period-1 increment) when the
     increment turns around before reaching tol; it must at least dip
-    below accept_tol, otherwise NotConverged is raised.
+    to 5e-3, otherwise NotConverged is raised.
     """
     dt = u_plus.grid.h if dt is None else dt
-    return stationary_limit(model, u_plus, tol, t_max, dt, search,
-                            accept_tol)[0]
+    return stationary_limit(model, u_plus, tol, t_max, dt, search, 5e-3)[0]
 
 
 def estimate_critical_value(model: HamiltonianModel,
@@ -838,15 +857,28 @@ def estimate_critical_value(model: HamiltonianModel,
     discount (Davini, Fathi, Iturriaga & Zavidovique, Invent. Math. 206,
     2016): the solution w of eps w + H(x, w_x, 0) = 0 has -eps w -> c
     with an error O(eps).  Its scheme, w = S(w) / (1 + dt eps) with S a
-    step of the frozen model, is solved from zero at n = 128, dt = 4e-3
-    and eps = 1e-3, to 1e-3 in w (1e-6 in c).  Returns -eps min w;
-    raises NotConverged when the solve does not certify.
+    step of the frozen model, is solved from zero at n = 128, dt = 4e-3,
+    for eps = 1e-3 and eps/10 on one workspace, each to 1e-3 in w, and
+    c(eps) = -eps min w.  Returns the Richardson value
+    (10 c(eps/10) - c(eps)) / 9, which cancels the O(eps) term; the solve
+    tolerances put it within 2.3e-7 of its value at the exact fixed
+    points.  Raises NotConverged when a solve does not certify.
     """
     eps, dt = 1e-3, 4e-3
     ws = _StepWorkspace(freeze_classical(model), Grid(128), dt, search)
-    w, _ = _policy_fixed_point(ws, np.zeros(ws.grid.n), 1e-3, 1.0 + dt * eps)
-    c = -eps * float(np.min(w))
-    _log.info("critical value %.7g at discount %g", c, eps)
+
+    def c_at(discount):
+        w, _ = _policy_fixed_point(ws, np.zeros(ws.grid.n), 1e-3,
+                                   1.0 + dt * discount)
+        return -discount * float(np.min(w))
+
+    c_eps = c_at(eps)
+    # the second solve on the workspace would repeat the first's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        c_tenth = c_at(eps / 10.0)
+    c = (10.0 * c_tenth - c_eps) / 9.0
+    _log.info("critical value %.10g by extrapolation from %g", c, eps)
     return c
 
 
@@ -880,7 +912,7 @@ def _flow_batch(model, x0, p0, u0, t_total, dt):
     """
     direction = 1.0 if t_total >= 0.0 else -1.0
     t_abs = abs(t_total)
-    steps = max(1, int(math.ceil(t_abs / dt - 1e-12)))
+    steps = _step_count(t_abs, dt)
     h = direction * t_abs / steps
     x, p, u = np.broadcast_arrays(np.asarray(x0, dtype=float),
                                   np.asarray(p0, dtype=float),
@@ -912,8 +944,7 @@ def _landing_brackets(d, alive):
     return idx, k[idx]
 
 
-def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
-                     ode_dt=2.5e-3, max_refine=2):
+def _shooting_action(model, x0, u0, x, t, direction, search):
     """Action value from characteristics: extremal landed endpoint value.
 
     Forward: integrate from (x0, p, u0) for time t over a momentum fan,
@@ -923,10 +954,10 @@ def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
     and take the maximum departure value (the dual extremum).
     """
     sign = 1.0 if direction == "forward" else -1.0
-    p_grid = np.linspace(-search.p_max, search.p_max, n_p)
-    for attempt in range(max_refine + 1):
+    p_grid = np.linspace(-search.p_max, search.p_max, 257)
+    for attempt in range(3):
         xe, _, ue, alive = _flow_batch(model, np.full(p_grid.shape, float(x0)),
-                                       p_grid, float(u0), sign * t, ode_dt)
+                                       p_grid, float(u0), sign * t, 2.5e-3)
         idx, k = _landing_brackets(xe - x, alive)
         lo, hi = p_grid[idx], p_grid[idx + 1]
         f_lo, f_hi = xe[idx] - x - k, xe[idx + 1] - x - k
@@ -944,7 +975,7 @@ def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
             q = (a * fb - b * fa) / (fb - fa)
             q = np.where((a < q) & (q < b), q, mid[act])
             xq, _, uq, aq = _flow_batch(model, np.full(q.shape, float(x0)), q,
-                                        float(u0), sign * t, ode_dt)
+                                        float(u0), sign * t, 2.5e-3)
             fq = np.where(aq, xq - x - k[act], np.nan)
             better = np.abs(fq) < np.abs(best_f[act])
             best_f[act] = np.where(better, fq, best_f[act])
@@ -970,8 +1001,8 @@ def _shooting_action(model, x0, u0, x, t, direction, search, n_p=257,
 
 def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
                     method="grid", grid: Optional[Grid] = None, dt=1e-3,
-                    u_cap=50.0, search: SearchParams = DEFAULT_SEARCH,
-                    ode_dt=2.5e-3, workspace=None) -> ActionResult:
+                    u_cap=50.0,
+                    search: SearchParams = DEFAULT_SEARCH) -> ActionResult:
     """Implicit action with pinned initial (forward) or terminal (backward) value.
 
     The grid method evolves a pinned-cap datum and reads the node nearest
@@ -993,7 +1024,7 @@ def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
         sign = 1.0 if direction == "forward" else -1.0
         m = model if sign > 0.0 else conjugate_model(model)
         trace = evolve(m, Field.pinned(g, x0, sign * u0, u_cap), t, dt,
-                       search=search, u_cap=u_cap, workspace=workspace)
+                       search=search, u_cap=u_cap)
         raw = float(trace.final.values[g.nearest(x)])
         grid_value = sign * raw
         if raw >= 0.99 * u_cap:
@@ -1001,8 +1032,7 @@ def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
                 f"action value {grid_value:g} is within 1% of the cap {u_cap:g}"
             )
     if method in ("shooting", "both"):
-        shoot_value = _shooting_action(model, x0, u0, x, t, direction, search,
-                                       ode_dt=ode_dt)
+        shoot_value = _shooting_action(model, x0, u0, x, t, direction, search)
     value = grid_value if grid_value is not None else shoot_value
     return ActionResult(x0=float(x0), u0=float(u0), x=float(x), t=float(t),
                         value=value, method=method, cap_used=u_cap,
@@ -1010,17 +1040,16 @@ def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
 
 
 def solve_reversibility(model: HamiltonianModel, x0, x, t, target_u,
-                        bracket=(-50.0, 50.0), tol=1e-6, max_iter=200,
-                        grid: Optional[Grid] = None, dt=1e-3, u_cap=50.0,
+                        bracket=(-50.0, 50.0), grid: Optional[Grid] = None,
+                        dt=1e-3, u_cap=50.0,
                         search: SearchParams = DEFAULT_SEARCH) -> float:
     """Initial value u0 with pinned action h_{x0,u0}(x, t) = target_u.
 
     Bisection, using the strict monotonicity of the action in its pinned
-    value.  Raises BracketFail when the bracket endpoints do not straddle
-    the target.
+    value, to within 1e-6 of the target in at most 200 halvings.  Raises
+    BracketFail when the bracket endpoints do not straddle the target.
     """
     g = grid or Grid(256)
-    ws = _StepWorkspace(model, g, t / max(1, math.ceil(t / dt - 1e-12)), search)
     lo, hi = float(bracket[0]), float(bracket[1])
     # the cap must clear the image of the whole bracket (cap-independence
     # makes the exact level irrelevant as long as it never binds)
@@ -1029,7 +1058,7 @@ def solve_reversibility(model: HamiltonianModel, x0, x, t, target_u,
 
     def action_at(u0v):
         res = action_function(model, x0, u0v, x, t, grid=g, dt=dt, u_cap=cap,
-                              search=search, workspace=ws)
+                              search=search)
         return res.value
     f_lo = action_at(lo) - target_u
     f_hi = action_at(hi) - target_u
@@ -1038,10 +1067,10 @@ def solve_reversibility(model: HamiltonianModel, x0, x, t, target_u,
             f"action at bracket ends ({f_lo + target_u:g}, {f_hi + target_u:g}) "
             f"does not straddle {target_u:g}"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = action_at(mid) - target_u
-        if abs(f_mid) <= tol:
+        if abs(f_mid) <= 1e-6:
             return mid
         if f_mid > 0.0:
             hi = mid

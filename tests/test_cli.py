@@ -160,6 +160,19 @@ def test_bad_expression_exit_4(tmp_path, line):
     assert manifest_of(out)["exit_status"] == 4
 
 
+@pytest.mark.parametrize("line", [
+    "evolve.T = -1", "evolve.dt = nan", "search.V_max = inf",
+    "evolve.T = inf", "caps.U_cap = nan"])
+def test_bad_number_exit_4(tmp_path, line):
+    # a float that is not finite, or a negative horizon, is a config error
+    # at parse time, not a failure of the command
+    cfg = tmp_path / "num.cfg"
+    cfg.write_text(CD_CFG.replace("grid.n = 256", "grid.n = 64") + line + "\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["evolve", "--config", str(cfg), "--out", out]) == 4
+    assert manifest_of(out)["exit_status"] == 4
+
+
 def test_import_does_not_load_sympy():
     import circlehj
     src = os.path.dirname(os.path.dirname(circlehj.__file__))

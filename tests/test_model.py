@@ -295,6 +295,18 @@ def test_critical_value_mechanical():
     assert c == pytest.approx(0.2, abs=1e-2)
 
 
+def test_critical_value_cosine_closed_form():
+    # H = (p+1)^2/2 - 1/2 + V: c = E - 1/2 with mean sqrt(2(E - V)) = 1,
+    # E > max V; the periodic integrand makes the node mean exact
+    cdv = make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", 0.0)
+    V = 0.2 * np.cos(2 * np.pi * np.arange(4096) / 4096)
+    lo, hi = 0.2, 1.0
+    for _ in range(100):
+        E = 0.5 * (lo + hi)
+        lo, hi = (lo, E) if np.mean(np.sqrt(2 * (E - V))) > 1 else (E, hi)
+    assert estimate_critical_value(cdv) == pytest.approx(E - 0.5, abs=1e-7)
+
+
 def test_critical_value_without_record():
     # the frozen record-less model takes the generic cell minimum at u = 0
     mech = make_quadratic_model(1.0, 0.0, "0.2*cos(2*pi*x)", 0.0)

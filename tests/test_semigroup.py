@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circlehj import periodic
 from circlehj import semigroup as sg
 from circlehj.errors import (BracketFail, CapTooSmall, InnerNotConverged,
                              NotConverged)
@@ -107,7 +108,7 @@ def test_step_reaches_window_minimum(cd_model, cdv_model, custom_model, n,
             assert np.array_equal(v_star, block_v[np.arange(n), j])
         if model.quad_coeffs is None:
             continue
-        w = sg.lax_oleinik_step(model, sg.Field(g, phi), dt, workspace=ws)
+        w = sg.lax_oleinik_step(model, sg.Field(g, phi), dt)
         dense_min = np.empty(n)
         for rows in np.array_split(np.arange(n), n // 128):
             x = g.nodes[rows, None]
@@ -126,14 +127,11 @@ def test_step_monotone_across_cells(cd_model, cdv_model, n, dt):
     g = sg.Grid(n)
     rng = np.random.default_rng(1)
     for model in (cd_model, cdv_model):
-        ws = sg._StepWorkspace(model, g, dt, sg.DEFAULT_SEARCH)
         for _ in range(20):
             phi = rng.uniform(-1.0, 1.0, n)
             gap = rng.uniform(0.0, 1.0, n)
-            low = sg.lax_oleinik_step(model, sg.Field(g, phi), dt,
-                                      workspace=ws)
-            high = sg.lax_oleinik_step(model, sg.Field(g, phi + gap), dt,
-                                       workspace=ws)
+            low = sg.lax_oleinik_step(model, sg.Field(g, phi), dt)
+            high = sg.lax_oleinik_step(model, sg.Field(g, phi + gap), dt)
             assert np.all(low.values <= high.values + 1e-14)
 
 
@@ -215,7 +213,7 @@ def test_generic_step_matches_plain_iteration(cd_model, custom_model):
         # kappa dt = 0.45 reaches every cell of the circle
         for dt in (g.h, 1.0 / 16, 0.45 / model.kappa):
             ws = sg._StepWorkspace(model, g, dt, sg.DEFAULT_SEARCH)
-            stepped = sg.lax_oleinik_step(model, pinned, dt, workspace=ws)
+            stepped = sg.lax_oleinik_step(model, pinned, dt)
             for values in (smooth, rough, pinned.values, stepped.values):
                 got, got_v = sg._step_generic(ws, values)
                 want, want_v = plain_step(ws, values)
@@ -297,25 +295,31 @@ def test_replace_without_record_takes_generic_path(cd_model, grid256,
             dataclasses.replace(cd_model, **hook)
 
 
-def test_workspace_reused_only_when_it_matches(monkeypatch):
-    # a workspace built for another search window or dt must not be used:
-    # on the zero datum the narrow window (drift 3 > v_max = 2) puts every
-    # minimizing velocity on the window end, the default one puts none there
+def test_workspace_reused_only_when_it_matches(cd_model, cd_orbit,
+                                              monkeypatch):
+    # the slot's workspace must not serve another search window, dt or
+    # model: on the zero datum the narrow window (drift 3 > v_max = 2)
+    # puts every minimizing velocity on the window end, the default one
+    # puts none there
     model = constant_drift_model(3.0, LAM)
     g = sg.Grid(256)
     dt = 0.5 * g.h
     narrow = sg.SearchParams(v_max=2.0)
     phi = sg.Field.constant(g, 0.0)
-    wide = sg._StepWorkspace(model, g, dt, sg.DEFAULT_SEARCH)
     ref = sg.evolve(model, phi, 26 * dt, dt, search=narrow)
-    got = sg.evolve(model, phi, 26 * dt, dt, search=narrow, workspace=wide)
+    assert sg.evolve(model, phi, 26 * dt, dt).window_hits == 0
+    got = sg.evolve(model, phi, 26 * dt, dt, search=narrow)
     assert got.window_hits == ref.window_hits == 26 * g.n
     assert np.array_equal(got.final.values, ref.final.values)
     step = sg.lax_oleinik_step(model, phi, dt, search=narrow).values
-    for ws in (wide, sg._StepWorkspace(model, g, 2.0 * g.h, narrow)):
-        got = sg.lax_oleinik_step(model, phi, dt, search=narrow, workspace=ws)
+    for other, other_dt, other_search in (
+            (model, dt, sg.DEFAULT_SEARCH), (model, 2.0 * g.h, narrow),
+            (conjugate_model(model), dt, narrow)):
+        sg.lax_oleinik_step(other, phi, other_dt, search=other_search)
+        got = sg.lax_oleinik_step(model, phi, dt, search=narrow)
         assert np.array_equal(got.values, step)
-    # a matching workspace is reused: one per reversibility solve
+    # a matching workspace is reused: one per reversibility solve, and at
+    # most two per pinned limit (its periods, then its slices)
     built = []
     workspace = sg._StepWorkspace
 
@@ -328,6 +332,9 @@ def test_workspace_reused_only_when_it_matches(monkeypatch):
         sg.solve_reversibility(model, 0.0, 0.0, 1.0, 1e5, grid=g, dt=4e-3,
                                bracket=(-1.0, 1.0))
     assert len(built) == 1
+    built.clear()
+    sol = periodic.pinned_periodic_limit(cd_model, cd_orbit, x0=0.25, grid=g)
+    assert sol.n_periods >= 2 and len(built) <= 2
 
 
 def test_evolve_constant_exact(cd_model):
@@ -391,8 +398,7 @@ def _step_chain(model, phi, T, dt, snapshot_every=None, u_cap=50.0,
     for k in range(1, steps + 1):
         block, block_v = ws.cell_block(current.values, None)
         v = block_v[np.arange(g.n), np.argmin(block, axis=1)]
-        current = sg.lax_oleinik_step(model, current, dt_eff, search=search,
-                                      workspace=ws)
+        current = sg.lax_oleinik_step(model, current, dt_eff, search=search)
         edge = np.abs(v) == search.v_max
         if current.cap_value is not None:
             edge &= ~current.cap_mask
