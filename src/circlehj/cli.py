@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import logging
 import math
@@ -33,9 +34,6 @@ _CONVERGENCE_ERRORS = (errors.NotConverged, errors.InnerNotConverged,
                        errors.NoBracket)
 
 _log = logging.getLogger("circlehj")
-
-COMMANDS = ("check-model", "orbit", "evolve", "weak-kam", "action",
-            "subsolution", "periodic", "trichotomy", "bifurcate")
 
 
 def _search_params(cfg: ExperimentConfig) -> sg.SearchParams:
@@ -153,11 +151,8 @@ def cmd_action(model, cfg, out, files):
         method=cfg.get("action", "method"), grid=grid,
         dt=cfg.get("action", "dt"), u_cap=cfg.get("caps", "U_cap"),
         search=_search_params(cfg))
-    files.append(reporting.write_flat_json(os.path.join(out, "action.json"), {
-        "x0": res.x0, "u0": res.u0, "x": res.x, "t": res.t,
-        "value": res.value, "method": res.method, "cap_used": res.cap_used,
-        "grid_value": res.grid_value, "shooting_value": res.shooting_value,
-    }))
+    files.append(reporting.write_flat_json(os.path.join(out, "action.json"),
+                                           dataclasses.asdict(res)))
     return {"value": res.value}
 
 
@@ -222,13 +217,10 @@ def cmd_trichotomy(model, cfg, out, files):
         model, phi, u_plus, t_budget=cfg.get("trichotomy", "T_budget"),
         dt=cfg.get("trichotomy", "dt"), u_cap=cfg.get("caps", "U_cap"),
         search=search)
-    files.append(reporting.write_flat_json(os.path.join(out, "trichotomy.json"), {
-        "class": rep.klass, "confirmed": rep.confirmed,
-        "evidence_min": rep.evidence_min, "evidence_max": rep.evidence_max,
-        "touch_tol": rep.touch_tol, "bound_K": rep.bound_K,
-        "onset_T_phi": rep.onset_T_phi, "escape_time": rep.escape_time,
-        "inconclusive_reason": rep.inconclusive_reason,
-    }))
+    report = dataclasses.asdict(rep)
+    report["class"] = report.pop("klass")
+    files.append(reporting.write_flat_json(
+        os.path.join(out, "trichotomy.json"), report))
     return {"class": rep.klass}
 
 
@@ -273,6 +265,7 @@ _DISPATCH = {
     "trichotomy": cmd_trichotomy,
     "bifurcate": cmd_bifurcate,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def _classify_exit(exc) -> int:
@@ -323,21 +316,17 @@ def run_command(command, config_path, out_dir, normalize_c=False,
                 model = shift_hamiltonian(model, c)
                 extra["normalized_c"] = c
             extra.update(_DISPATCH[command](model, cfg, out_dir, files))
-        if plot:
-            csvs = [os.path.basename(f) for f in files if f.endswith(".csv")]
-            plot_extra = extra.get("slice_times", [])
-            if command == "periodic" and plot_extra:
-                step = max(1, (len(plot_extra) - 1) // 8)
-                plot_extra = plot_extra[:-1][::step][:8]
+        csvs = [os.path.basename(f) for f in files if f.endswith(".csv")]
+        if plot and csvs:
             files.append(os.path.join(out_dir, reporting.emit_plot_script(
-                out_dir, command, csvs, extra=plot_extra)))
+                out_dir, command, csvs, extra=extra.get("slice_times"))))
     except Exception as exc:
         status = _classify_exit(exc)
         sys.stderr.write(f"error: {exc}\n")
         if status == 1:
             traceback.print_exc()
     finally:
-        extra.pop("slice_times", None)
+        counts = dataclasses.asdict(record)
         ended = datetime.datetime.now(datetime.timezone.utc).isoformat()
         manifest = {
             "command": command,
@@ -347,10 +336,7 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             "files": sorted(os.path.basename(f) for f in files),
             "exit_status": status,
             "accuracy_warnings": accuracy_warnings,
-            "window_hits": record.window_hits,
-            "limit_periods": record.limit_periods,
-            "quasi_limits": record.quasi_limits,
-            "policy_sweeps": record.policy_sweeps,
+            **counts,
         }
         manifest.update({k: v for k, v in extra.items()
                          if isinstance(v, (int, float, str, bool))})
@@ -359,10 +345,9 @@ def run_command(command, config_path, out_dir, normalize_c=False,
                                       manifest)
         except OSError:
             pass
-        _log.info("%s: exit %d, window hits %d, limit periods %d, quasi "
-                  "limits %d, policy sweeps %d, accuracy warnings %d",
-                  command, status, record.window_hits, record.limit_periods,
-                  record.quasi_limits, record.policy_sweeps,
+        _log.info("%s: exit %d, %s, accuracy warnings %d", command, status,
+                  ", ".join(f"{k.replace('_', ' ')} {v}"
+                            for k, v in counts.items()),
                   accuracy_warnings)
     return status
 

@@ -23,88 +23,78 @@ import numpy as np
 from .errors import ConfigError
 from .model import compile_expression, make_quadratic_model
 
-# section -> key -> (type tag, default); None default means required-if-used
+# section -> key -> (type tag, default, bound): each key's one entry owns its
+# type, its default (None means required-if-used) and its bound ("positive",
+# "nonnegative" or None), which _convert enforces
 _SCHEMA = {
     "model": {
-        "family": ("str", "quadratic"),
-        "a": ("expr", "1"),
-        "b": ("expr", "1"),
-        "V": ("expr", "0"),
-        "lambda": ("float", 0.5),
-        "kappa": ("float", None),
-        "delta": ("float", None),
+        "family": ("str", "quadratic", None),
+        "a": ("expr", "1", None),
+        "b": ("expr", "1", None),
+        "V": ("expr", "0", None),
+        "lambda": ("float", 0.5, None),
+        "kappa": ("float", None, None),
+        "delta": ("float", None, None),
     },
-    "grid": {"n": ("int", 256)},
+    "grid": {"n": ("int", 256, "positive")},
     "evolve": {
-        "dt": ("float", 1e-3),
-        "T": ("float", 1.0),
-        "snapshot_every": ("float", None),
-        "phi": ("expr", "0"),
+        "dt": ("float", 1e-3, "positive"),
+        "T": ("float", 1.0, "nonnegative"),
+        "snapshot_every": ("float", None, None),
+        "phi": ("expr", "0", None),
     },
-    "caps": {"U_cap": ("float", 50.0)},
+    "caps": {"U_cap": ("float", 50.0, "positive")},
     "search": {
-        "V_max": ("float", 10.0),
-        "P_max": ("float", 10.0),
-        "U_max": ("float", 50.0),
+        "V_max": ("float", 10.0, "positive"),
+        "P_max": ("float", 10.0, "positive"),
+        "U_max": ("float", 50.0, "positive"),
     },
     "orbit": {
-        "guess_p": ("float", 0.0),
-        "guess_u": ("float", 0.0),
-        "nodes": ("int", 1024),
+        "guess_p": ("float", 0.0, None),
+        "guess_u": ("float", 0.0, None),
+        "nodes": ("int", 1024, "positive"),
     },
     "action": {
-        "x0": ("float", 0.0),
-        "u0": ("float", 0.0),
-        "x": ("float", 0.0),
-        "t": ("float", 1.0),
-        "direction": ("str", "forward"),
-        "method": ("str", "both"),
-        "dt": ("float", 4e-3),
+        "x0": ("float", 0.0, None),
+        "u0": ("float", 0.0, None),
+        "x": ("float", 0.0, None),
+        "t": ("float", 1.0, "positive"),
+        "direction": ("str", "forward", None),
+        "method": ("str", "both", None),
+        "dt": ("float", 4e-3, "positive"),
     },
     "subsolution": {
-        "x0": ("float", 0.0),
-        "n_x": ("int", 256),
-        "n_t": ("int", 64),
+        "x0": ("float", 0.0, None),
+        "n_x": ("int", 256, "positive"),
+        "n_t": ("int", 64, "positive"),
     },
     "periodic": {
-        "mode": ("str", "pinned"),
-        "x0": ("float", 0.0),
-        "n_max": ("int", 200),
-        "tol": ("float", 5e-3),
-        "slices": ("int", 64),
-        "phi": ("expr", "0"),
-        "dt": ("float", None),
+        "mode": ("str", "pinned", None),
+        "x0": ("float", 0.0, None),
+        "n_max": ("int", 200, "positive"),
+        "tol": ("float", 5e-3, "positive"),
+        "slices": ("int", 64, "positive"),
+        "phi": ("expr", "0", None),
+        "dt": ("float", None, "positive"),
     },
     "trichotomy": {
-        "phi": ("expr", "0"),
-        "T_budget": ("float", 20.0),
-        "dt": ("float", None),
+        "phi": ("expr", "0", None),
+        "T_budget": ("float", 20.0, "positive"),
+        "dt": ("float", None, "positive"),
     },
     "weakkam": {
-        "tol": ("float", 1e-6),
-        "T_max": ("float", 80.0),
-        "dt": ("float", None),
+        "tol": ("float", 1e-6, "positive"),
+        "T_max": ("float", 80.0, "positive"),
+        "dt": ("float", None, "positive"),
     },
     "bifurcate": {
-        "lambdas": ("floats", None),
-        "grid_n": ("int", 128),
-        "tol": ("float", 5e-3),
-        "fp_tol": ("float", 1e-4),
-        "n_max": ("int", 200),
+        "lambdas": ("floats", None, None),
+        "grid_n": ("int", 128, "positive"),
+        "tol": ("float", 5e-3, "positive"),
+        "fp_tol": ("float", 1e-4, "positive"),
+        "n_max": ("int", 200, "positive"),
     },
 }
-
-_POSITIVE = {
-    ("grid", "n"), ("evolve", "dt"), ("caps", "U_cap"), ("search", "V_max"),
-    ("search", "P_max"), ("search", "U_max"), ("orbit", "nodes"),
-    ("periodic", "n_max"), ("periodic", "tol"), ("periodic", "slices"),
-    ("trichotomy", "T_budget"), ("weakkam", "tol"), ("weakkam", "T_max"),
-    ("bifurcate", "grid_n"), ("bifurcate", "tol"), ("bifurcate", "fp_tol"),
-    ("bifurcate", "n_max"), ("action", "t"), ("action", "dt"),
-    ("subsolution", "n_x"), ("subsolution", "n_t"), ("periodic", "dt"),
-    ("trichotomy", "dt"), ("weakkam", "dt"),
-}
-_NONNEGATIVE = {("evolve", "T")}
 
 
 @dataclass
@@ -122,7 +112,11 @@ class ExperimentConfig:
         return hashlib.sha256(self.text.encode()).hexdigest()[:16]
 
 
-def _convert(section, key, raw, kind):
+_BOUNDS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+
+
+def _convert(section, key, raw):
+    kind, _, bound = _SCHEMA[section][key]
     try:
         if kind == "int":
             value = int(raw)
@@ -137,15 +131,13 @@ def _convert(section, key, raw, kind):
     numbers = value if kind == "floats" else [value]
     if kind in ("float", "floats") and not all(map(math.isfinite, numbers)):
         raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
-    if (section, key) in _POSITIVE and min(numbers) <= 0:
-        raise ConfigError(f"{section}.{key} must be positive, got {raw!r}")
-    if (section, key) in _NONNEGATIVE and value < 0:
-        raise ConfigError(f"{section}.{key} must be nonnegative, got {raw!r}")
+    if bound is not None and not _BOUNDS[bound](min(numbers)):
+        raise ConfigError(f"{section}.{key} must be {bound}, got {raw!r}")
     return value
 
 
 def parse_config_text(text: str, path=None) -> ExperimentConfig:
-    values = {sec: {k: default for k, (_, default) in keys.items()}
+    values = {sec: {k: default for k, (_, default, _) in keys.items()}
               for sec, keys in _SCHEMA.items()}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -161,8 +153,7 @@ def parse_config_text(text: str, path=None) -> ExperimentConfig:
         section, key = lhs.split(".", 1)
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {lhs!r}")
-        kind = _SCHEMA[section][key][0]
-        values[section][key] = _convert(section, key, rhs, kind)
+        values[section][key] = _convert(section, key, rhs)
     _check_expressions(values)
     return ExperimentConfig(values=values, text=text, path=path)
 
@@ -173,7 +164,7 @@ def _check_expressions(values):
     n = values["grid"]["n"]
     xs = np.arange(n) / n
     for section, keys in _SCHEMA.items():
-        for key, (kind, _) in keys.items():
+        for key, (kind, _, _) in keys.items():
             if kind != "expr":
                 continue
             raw = values[section][key]

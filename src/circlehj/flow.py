@@ -20,6 +20,7 @@ stage points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +132,16 @@ def contact_field(model: HamiltonianModel):
     return field
 
 
+def _step_count(T, dt):
+    """Steps of at most dt that cover the horizon T: ceil(T/dt), less a
+    1e-12 slack so that round-off in T/dt adds no step."""
+    return max(1, math.ceil(T / dt - 1e-12))
+
+
 def integrate_contact(model: HamiltonianModel, s0: ContactState, t_span, dt):
-    """Fixed-step RK4 integration of the contact characteristic system.
+    """Fixed-step RK4 integration of the contact characteristic system,
+    in the fewest equal steps of at most dt (``_step_count``, the split
+    of every fixed-step horizon in the package).
 
     Returns (times, states, winding): states keep x reduced mod 1 while
     winding counts signed circle traversals.  Raises BlowUp when |p| or
@@ -141,7 +150,7 @@ def integrate_contact(model: HamiltonianModel, s0: ContactState, t_span, dt):
     t0, t1 = float(t_span[0]), float(t_span[1])
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    steps = max(1, int(round((t1 - t0) / dt)))
+    steps = _step_count(t1 - t0, dt)
     h = (t1 - t0) / steps
     field = contact_field(model)
     x, p, u = float(s0.x), float(s0.p), float(s0.u)

@@ -6,6 +6,12 @@ long-time periodic limits of the evolution, period subdivision by
 min-combination of time shifts, the bounded / -infinity / +infinity
 classification of initial data, and the parameter sweep exhibiting the
 bifurcation at sign change.
+
+Both periodic limits are one ``_periodic_limit``: the period-map limit,
+one recorded period of slices, its amplitude and its residuals.  The
+pinned limit adds its floor at the pin, the long-time limit its shift
+and localization gap.  Transversality of the orbit is checked once, by
+``build_subsolution``.
 """
 
 from __future__ import annotations
@@ -45,17 +51,18 @@ class SubsolutionSpec:
     hessian_bound: float
     orbit: OrbitResult
 
-    def value(self, x, t):
+    def _arg(self, x, t):
         orb = self.orbit
         ph = orb.phase_at(x) - orb.phase_at(self.x0)
-        arg = -0.5 * math.pi + ph + TWO_PI * np.asarray(t, dtype=float) / orb.loop_integral
-        return orb.u0_at(x) + self.epsilon * (1.0 + np.sin(arg))
+        return -0.5 * math.pi + ph + TWO_PI * np.asarray(t, dtype=float) / orb.loop_integral
+
+    def value(self, x, t):
+        return self.orbit.u0_at(x) + self.epsilon * (1.0 + np.sin(self._arg(x, t)))
 
     def partials(self, x, t):
         """(w_t, w_x, w) from the orbit tables; exact up to table interpolation."""
         orb = self.orbit
-        ph = orb.phase_at(x) - orb.phase_at(self.x0)
-        arg = -0.5 * math.pi + ph + TWO_PI * np.asarray(t, dtype=float) / orb.loop_integral
+        arg = self._arg(x, t)
         cos = np.cos(arg)
         fprime = -TWO_PI / (orb.loop_integral * orb.speed_at(x))
         w_t = self.epsilon * cos * TWO_PI / orb.loop_integral
@@ -216,20 +223,31 @@ def _upwind_pde_residual(model, slices, times):
     return worst
 
 
-def _record_period(model, state, period, dt, m_slices, search):
-    """Evolve one period from state, snapshotting m+1 uniformly spaced slices."""
-    steps_per_slice = max(1, round(period / (m_slices * dt)))
-    dt_eff = period / (m_slices * steps_per_slice)
-    trace = evolve(model, state, period, dt_eff,
-                   snapshot_every=period / m_slices, search=search)
-    return trace.snapshots, trace.times
-
-
 def _period_map_limit(model, start, period, dt, n_max, tol, search):
     """Iterate the period map to (quasi) stationarity, accepting 10 * tol."""
     return _iterate_to_limit(
         lambda f: evolve(model, f, period, dt, search=search), start, tol,
         n_max, 10.0 * tol)
+
+
+def _periodic_limit(model, start, period, dt, n_max, tol, m_slices, search,
+                    **fields) -> PeriodicSolution:
+    """The period-map limit from start, with one recorded period of m+1
+    uniformly spaced slices, its amplitude and its residuals; ``fields``
+    are the caller's own PeriodicSolution fields."""
+    state, history, n_done, quasi = _period_map_limit(
+        model, start, period, dt, n_max, tol, search)
+    steps_per_slice = max(1, round(period / (m_slices * dt)))
+    trace = evolve(model, state, period, period / (m_slices * steps_per_slice),
+                   snapshot_every=period / m_slices, search=search)
+    slices, times = trace.snapshots, trace.times
+    return PeriodicSolution(
+        slices=slices, times=times, period=period,
+        amplitude=float(np.max(_oscillation(slices))),
+        period_residual=sup_dist(slices[-1], slices[0]),
+        pde_residual=_upwind_pde_residual(model, slices, times),
+        n_periods=n_done, converge_history=history, quasi_converged=quasi,
+        **fields)
 
 
 def pinned_periodic_limit(model: HamiltonianModel, orbit: OrbitResult, x0=0.0,
@@ -241,38 +259,25 @@ def pinned_periodic_limit(model: HamiltonianModel, orbit: OrbitResult, x0=0.0,
 
     Pins the stationary value at x0, iterates the period map until the
     increments drop below tol, then records one period of slices.
-    Raises NotNontrivial when the oscillation at x0 falls below
-    amplitude_floor_factor * eps, the guaranteed floor from the
-    subsolution construction.
+    Raises TurningPoint for an orbit that is not transverse (the
+    subsolution's check), and NotNontrivial when the oscillation at x0
+    falls below amplitude_floor_factor * eps, the guaranteed floor from
+    the subsolution construction.
     """
-    holds, _ = check_condition_A(orbit)
-    if not holds:
-        raise TurningPoint("pinned limit requires a transverse orbit")
     g = grid or Grid(256)
     dt = g.h if dt is None else dt
     spec = build_subsolution(model, orbit, x0=x0)
     start = Field.pinned(g, x0, float(orbit.u0_at(x0)), u_cap)
-    state, history, n_done, quasi = _period_map_limit(
-        model, start, orbit.period, dt, n_max, tol, search)
-    slices, times = _record_period(model, state, orbit.period, dt, m_slices,
-                                   search)
-    osc = _oscillation(slices)
-    amplitude = float(np.max(osc))
-    amp_x0 = float(osc[g.nearest(x0)])
+    sol = _periodic_limit(model, start, orbit.period, dt, n_max, tol, m_slices,
+                          search, x0=float(x0), epsilon_floor=spec.epsilon)
+    sol.amplitude_at_x0 = float(_oscillation(sol.slices)[g.nearest(x0)])
     floor = amplitude_floor_factor * spec.epsilon
-    if amp_x0 < floor:
+    if sol.amplitude_at_x0 < floor:
         raise NotNontrivial(
-            f"oscillation {amp_x0:.3g} at the pin falls below the floor "
-            f"{floor:.3g}; the run degenerated"
+            f"oscillation {sol.amplitude_at_x0:.3g} at the pin falls below "
+            f"the floor {floor:.3g}; the run degenerated"
         )
-    return PeriodicSolution(
-        slices=slices, times=times, period=orbit.period, amplitude=amplitude,
-        period_residual=sup_dist(slices[-1], slices[0]),
-        pde_residual=_upwind_pde_residual(model, slices, times),
-        amplitude_at_x0=amp_x0, x0=float(x0), n_periods=n_done,
-        converge_history=history, quasi_converged=quasi,
-        epsilon_floor=spec.epsilon,
-    )
+    return sol
 
 
 def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
@@ -301,12 +306,8 @@ def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
         )
     shifted = Field(g, phi.values + shift)
     gap = gap + shift
-
-    state, history, n_done, quasi = _period_map_limit(
-        model, shifted, orbit.period, dt, n_max, tol, search)
-    slices, times = _record_period(model, state, orbit.period, dt, m_slices,
-                                   search)
-    amplitude = float(np.max(_oscillation(slices)))
+    sol = _periodic_limit(model, shifted, orbit.period, dt, n_max, tol,
+                          m_slices, search, shift_applied=float(shift))
 
     # localization: evolving only the data near the touching set must
     # reproduce the full evolution at late times
@@ -316,15 +317,8 @@ def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
                      u_cap=u_cap)
     loc_tr = evolve(model, pinned, localization_t, dt, search=search,
                     u_cap=u_cap)
-    loc_gap = sup_dist(full_tr.final, loc_tr.final)
-
-    return PeriodicSolution(
-        slices=slices, times=times, period=orbit.period, amplitude=amplitude,
-        period_residual=sup_dist(slices[-1], slices[0]),
-        pde_residual=_upwind_pde_residual(model, slices, times),
-        n_periods=n_done, converge_history=history, quasi_converged=quasi,
-        localization_gap=float(loc_gap), shift_applied=float(shift),
-    )
+    sol.localization_gap = float(sup_dist(full_tr.final, loc_tr.final))
+    return sol
 
 
 def min_shift_combine(w: PeriodicSolution, n: int) -> PeriodicSolution:
@@ -555,10 +549,11 @@ def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
     Rows never abort the sweep; failures are recorded per row.  A row
     with lam < 0 is the fixed point: solved by policy iteration to fp_tol
     for a family with a coefficient record, else the period-map limit
-    within 60 periods.  The transversality threshold estimate is
-    the midpoint between the last positive parameter with min |dH/dp|
-    above B_MIN_TOL and the first without, +inf when transversality holds
-    across the whole range.
+    within 60 periods.  The transversality threshold estimate is the
+    midpoint between the first positive parameter whose min |dH/dp| is
+    not above B_MIN_TOL (NaN included) and the positive parameter before
+    it, or 0 when there is none; +inf when transversality holds across
+    the whole range.
     """
     rows = []
     for lam in sorted(float(l) for l in lambdas):
@@ -570,17 +565,12 @@ def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
                 lam, "degenerate", math.nan, math.nan, math.nan,
                 error=f"{type(exc).__name__}: {exc}"))
 
-    lambda0 = math.inf
-    prev_ok = None
+    lambda0, prev = math.inf, 0.0
     for row in rows:
         if row.lam <= 0.0:
             continue
-        ok = (row.min_abs_b == row.min_abs_b) and row.min_abs_b > B_MIN_TOL
-        if prev_ok is not None and prev_ok[1] and not ok:
-            lambda0 = 0.5 * (prev_ok[0] + row.lam)
+        if not row.min_abs_b > B_MIN_TOL:    # NaN is not transverse
+            lambda0 = 0.5 * (prev + row.lam)
             break
-        if not ok and prev_ok is None:
-            lambda0 = 0.5 * row.lam
-            break
-        prev_ok = (row.lam, ok)
+        prev = row.lam
     return BifurcationDiagram(rows=rows, lambda0_estimate=lambda0)

@@ -72,7 +72,9 @@ def emit_plot_script(out_dir, command, csv_files, extra=None):
     path = os.path.join(out_dir, name)
     lines = [_GNUPLOT_HEADER.format(name=name)]
     if command == "periodic" and "periodic.csv" in csv_files:
-        times = extra or []
+        # at most 8 of the slice times, evenly spaced, endpoint left out
+        times = (extra or [])[:-1]
+        times = times[::max(1, len(times) // 8)][:8]
         lines.append('set xlabel "x"\nset ylabel "value"\n')
         parts = [
             f"'periodic.csv' using (abs($1-{fmt(t)})<1e-9?$2:1/0):3 "

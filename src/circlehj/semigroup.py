@@ -77,7 +77,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BracketFail, CapTooSmall, InnerNotConverged,
                      NoTrajectoryLanded, NotConverged)
-from .flow import BLOW_LIMIT, _rk4_step, contact_field
+from .flow import BLOW_LIMIT, _rk4_step, _step_count, contact_field
 from .model import (DEFAULT_SEARCH, HamiltonianModel, SearchParams,
                     conjugate_model, freeze_classical, solve_p_star_batch)
 
@@ -224,7 +224,10 @@ class EvolutionTrace:
 
 @dataclass
 class RunRecord:
-    """Counts of one run that belong in its manifest, never in its data."""
+    """Counts of one run that belong in its manifest, never in its data.
+
+    The CLI writes every field, under its own name, to the manifest and
+    to the run's closing log line."""
 
     # EvolutionTrace.window_hits summed over every evolve of the run
     window_hits: int = 0
@@ -494,12 +497,6 @@ def _workspace_for(model, grid, dt, search):
         _SLOT.workspace = None          # free the old buffers first
         ws = _SLOT.workspace = _StepWorkspace(model, grid, dt, search)
     return ws
-
-
-def _step_count(T, dt):
-    """Steps of at most dt that cover the horizon T: ceil(T/dt), less a
-    1e-12 slack so that round-off in T/dt adds no step."""
-    return max(1, math.ceil(T / dt - 1e-12))
 
 
 def _step_values(ws: _StepWorkspace, values: np.ndarray):

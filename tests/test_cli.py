@@ -28,6 +28,10 @@ evolve.phi = 0.05 - 0.05*cos(2*pi*x)
 """
 
 
+SHIPPED_CD = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "constant_drift.cfg")
+
+
 @pytest.fixture()
 def cd_cfg_path(tmp_path):
     path = tmp_path / "cd.cfg"
@@ -162,10 +166,12 @@ def test_bad_expression_exit_4(tmp_path, line):
 
 @pytest.mark.parametrize("line", [
     "evolve.T = -1", "evolve.dt = nan", "search.V_max = inf",
-    "evolve.T = inf", "caps.U_cap = nan"])
+    "evolve.T = inf", "caps.U_cap = nan", "evolve.T 1",
+    "model.family = cubic"])
 def test_bad_number_exit_4(tmp_path, line):
-    # a float that is not finite, or a negative horizon, is a config error
-    # at parse time, not a failure of the command
+    # a float that is not finite, a negative horizon, a line without '='
+    # or an unknown model family is a config error, not a failure of the
+    # command
     cfg = tmp_path / "num.cfg"
     cfg.write_text(CD_CFG.replace("grid.n = 256", "grid.n = 64") + line + "\n")
     out = str(tmp_path / "out")
@@ -263,6 +269,37 @@ def test_periodic_command(tmp_path):
     assert float(report["amplitude"]) > 0.0
     with open(os.path.join(out, "plot.gp")) as fh:
         assert "periodic.csv" in fh.read()
+
+
+def test_periodic_command_longtime_mode(tmp_path):
+    # the long-time limit of the zero datum, which touches u+ = 0 of the
+    # constant drift everywhere
+    cfg = tmp_path / "lt.cfg"
+    cfg.write_text(CD_CFG.replace("grid.n = 256", "grid.n = 128")
+                   + "periodic.mode = longtime\nperiodic.slices = 16\n")
+    out = str(tmp_path / "lt")
+    assert cli.main(["periodic", "--config", str(cfg), "--out", out]) == 0
+    with open(os.path.join(out, "periodic.json")) as fh:
+        report = json.load(fh)
+    assert report["mode"] == "longtime"
+    assert report["amplitude_at_x0"] is None
+    assert float(report["shift_applied"]) == 0.0
+    assert float(report["localization_gap"]) <= 1e-6
+    assert float(report["period_residual"]) <= 5e-3
+
+
+@pytest.mark.parametrize("line, status", [("periodic.mode = bogus", 4),
+                                          ("periodic.n_max = 1", 3)])
+def test_periodic_command_failures(tmp_path, line, status):
+    # an unknown mode is a config error; one period cannot reach tol
+    with open(SHIPPED_CD) as fh:
+        text = fh.read()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + line + "\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["periodic", "--config", str(cfg), "--out", out]) == status
+    assert manifest_of(out)["exit_status"] == status
+    assert not os.path.exists(os.path.join(out, "periodic.csv"))
 
 
 def test_periodic_command_counts_limits(tmp_path):
@@ -381,6 +418,20 @@ def test_selftest_seeded_fault_names_h4():
     ok, detail = selftest.check_h4_margin(broken)
     assert not ok
     assert "H4" in detail
+
+
+@pytest.mark.parametrize("command", ["check-model", "subsolution",
+                                     "trichotomy", "action"])
+def test_plot_skipped_without_csv(tmp_path, command):
+    # these commands write JSON only: --plot has nothing to draw, and the
+    # run still succeeds
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", SHIPPED_CD, "--out", out,
+                     "--plot"]) == 0
+    meta = manifest_of(out)
+    assert meta["exit_status"] == 0
+    assert "plot.gp" not in meta["files"]
+    assert not os.path.exists(os.path.join(out, "plot.gp"))
 
 
 def test_plot_script_requires_csv(tmp_path):

@@ -28,6 +28,14 @@ def test_integrate_contact_cd2_period(cd2_model):
     assert states[-1].x == pytest.approx(0.0, abs=1e-12)
 
 
+def test_integrate_contact_steps_at_most_dt(cd_model):
+    # a span of 1.4 dt takes two equal steps, not one step of 1.4 dt
+    times, states, _ = flow.integrate_contact(
+        cd_model, flow.ContactState(0.0, 0.0, 0.0), (0.0, 1.4e-3), 1e-3)
+    assert len(times) == len(states) == 3
+    assert np.diff(times) == pytest.approx([7e-4, 7e-4], abs=1e-15)
+
+
 def test_integrate_contact_blowup(cd_model):
     with pytest.raises(BlowUp):
         flow.integrate_contact(cd_model, flow.ContactState(0.0, 5.0, 0.0),

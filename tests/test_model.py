@@ -138,6 +138,16 @@ def test_assumptions_cdv(cdv_model):
     assert rep.c_margin == pytest.approx(-0.3, abs=1e-6)
 
 
+def test_assumptions_recordless_numeric_lagrangian(cdv_model):
+    # without a coefficient record min_p H comes from the numeric momentum
+    # solve, and must match the closed form
+    bare = dataclasses.replace(cdv_model, quad_coeffs=None)
+    rep = check_assumptions(bare)
+    assert rep.c_margin == pytest.approx(check_assumptions(cdv_model).c_margin,
+                                         abs=1e-12)
+    assert rep.c_margin == pytest.approx(-0.3, abs=1e-6)
+
+
 def test_assumptions_increasing_flagged():
     rep = check_assumptions(constant_drift_model(1.0, -0.5))
     assert not rep.h4_ok

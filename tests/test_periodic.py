@@ -319,6 +319,17 @@ def test_bifurcation_recordless_family_iterates_periods():
     assert record.limit_periods > 0 and record.policy_sweeps == 0
 
 
+@pytest.mark.parametrize("b_low, expected", [(1.0, 0.2), (0.0, 0.05)])
+def test_bifurcation_transversality_threshold(b_low, expected):
+    # b = 0 has no transverse orbit: the threshold is the midpoint between
+    # the first such positive row and the positive row before it, or 0
+    family = lambda lam: make_quadratic_model(
+        1.0, b_low if lam < 0.2 else 0.0, "0.2*cos(2*pi*x)", lam)
+    diag = periodic.bifurcation_sweep(family, [0.1, 0.3], grid_n=128)
+    assert diag.rows[-1].klass == "degenerate"
+    assert diag.lambda0_estimate == pytest.approx(expected, abs=1e-15)
+
+
 def test_bifurcation_cdv_family():
     family = lambda lam: make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", lam)
     diag = periodic.bifurcation_sweep(family, [0.1, 0.3, 0.5], grid_n=128)
