@@ -21,7 +21,7 @@ import warnings
 
 from . import errors, flow, periodic, reporting
 from . import semigroup as sg
-from .config import ExperimentConfig, build_model, load_config
+from .config import build_model, load_config
 from .model import compile_expression, shift_hamiltonian
 from .selftest import run_selftest
 
@@ -34,12 +34,6 @@ _CONVERGENCE_ERRORS = (errors.NotConverged, errors.InnerNotConverged,
                        errors.NoBracket)
 
 _log = logging.getLogger("circlehj")
-
-
-def _search_params(cfg: ExperimentConfig) -> sg.SearchParams:
-    return sg.SearchParams(v_max=cfg.get("search", "V_max"),
-                           p_max=cfg.get("search", "P_max"),
-                           u_max=cfg.get("search", "U_max"))
 
 
 def _grid(cfg, key=("grid", "n")) -> sg.Grid:
@@ -63,9 +57,8 @@ def _orbit(model, cfg):
 def cmd_check_model(model, cfg, out, files):
     from .model import check_assumptions, derivative_consistency
 
-    search = _search_params(cfg)
-    report = check_assumptions(model, search)
-    fd = derivative_consistency(model, search)
+    report = check_assumptions(model)
+    fd = derivative_consistency(model)
     files.append(reporting.write_flat_json(os.path.join(out, "check_model.json"), {
         "h1_ok": report.h1_ok, "h4_ok": report.h4_ok,
         "condition_C_ok": report.condition_c_ok,
@@ -105,7 +98,6 @@ def cmd_evolve(model, cfg, out, files):
     trace = sg.evolve(model, phi, cfg.get("evolve", "T"),
                       cfg.get("evolve", "dt"),
                       snapshot_every=cfg.get("evolve", "snapshot_every"),
-                      search=_search_params(cfg),
                       u_cap=cfg.get("caps", "U_cap"))
     files.append(reporting.write_csv(os.path.join(out, "trace.csv"),
                                      ("t", "x", "value"),
@@ -125,14 +117,11 @@ def cmd_weak_kam(model, cfg, out, files):
     tol = cfg.get("weakkam", "tol")
     t_max = cfg.get("weakkam", "T_max")
     dt = cfg.get("weakkam", "dt")
-    search = _search_params(cfg)
-    u_plus = sg.weak_kam_forward(model, grid, tol=tol, t_max=t_max, dt=dt,
-                                 search=search)
+    u_plus = sg.weak_kam_forward(model, grid, tol=tol, t_max=t_max, dt=dt)
     files.append(reporting.write_csv(os.path.join(out, "u_plus.csv"),
                                      ("x", "value"),
                                      reporting.field_rows(u_plus)))
-    u_minus = sg.weak_kam_backward(model, u_plus, tol=tol, t_max=t_max, dt=dt,
-                                   search=search)
+    u_minus = sg.weak_kam_backward(model, u_plus, tol=tol, t_max=t_max, dt=dt)
     files.append(reporting.write_csv(os.path.join(out, "u_minus.csv"),
                                      ("x", "value"),
                                      reporting.field_rows(u_minus)))
@@ -149,8 +138,7 @@ def cmd_action(model, cfg, out, files):
         cfg.get("action", "x"), cfg.get("action", "t"),
         direction=cfg.get("action", "direction"),
         method=cfg.get("action", "method"), grid=grid,
-        dt=cfg.get("action", "dt"), u_cap=cfg.get("caps", "U_cap"),
-        search=_search_params(cfg))
+        dt=cfg.get("action", "dt"), u_cap=cfg.get("caps", "U_cap"))
     files.append(reporting.write_flat_json(os.path.join(out, "action.json"),
                                            dataclasses.asdict(res)))
     return {"value": res.value}
@@ -179,18 +167,14 @@ def cmd_periodic(model, cfg, out, files):
                   tol=cfg.get("periodic", "tol"),
                   m_slices=cfg.get("periodic", "slices"),
                   dt=cfg.get("periodic", "dt"),
-                  u_cap=cfg.get("caps", "U_cap"),
-                  search=_search_params(cfg))
+                  u_cap=cfg.get("caps", "U_cap"))
     if mode == "pinned":
         sol = periodic.pinned_periodic_limit(model, orbit,
                                              x0=cfg.get("periodic", "x0"),
                                              grid=grid, **kwargs)
-    elif mode == "longtime":
+    else:
         phi = _phi_field(cfg, grid, key=("periodic", "phi"))
         sol = periodic.long_time_periodic_limit(model, phi, orbit, **kwargs)
-    else:
-        raise errors.ConfigError(f"periodic.mode must be pinned or longtime, "
-                                 f"got {mode!r}")
     files.append(reporting.write_csv(os.path.join(out, "periodic.csv"),
                                      ("t", "x", "value"),
                                      reporting.time_rows(sol.times, sol.slices)))
@@ -209,14 +193,12 @@ def cmd_periodic(model, cfg, out, files):
 def cmd_trichotomy(model, cfg, out, files):
     grid = _grid(cfg)
     phi = _phi_field(cfg, grid, key=("trichotomy", "phi"))
-    search = _search_params(cfg)
     u_plus = sg.weak_kam_forward(model, grid, tol=cfg.get("weakkam", "tol"),
                                  t_max=cfg.get("weakkam", "T_max"),
-                                 dt=cfg.get("weakkam", "dt"), search=search)
+                                 dt=cfg.get("weakkam", "dt"))
     rep = periodic.classify_trichotomy(
         model, phi, u_plus, t_budget=cfg.get("trichotomy", "T_budget"),
-        dt=cfg.get("trichotomy", "dt"), u_cap=cfg.get("caps", "U_cap"),
-        search=search)
+        dt=cfg.get("trichotomy", "dt"), u_cap=cfg.get("caps", "U_cap"))
     report = dataclasses.asdict(rep)
     report["class"] = report.pop("klass")
     files.append(reporting.write_flat_json(
@@ -232,14 +214,14 @@ def cmd_bifurcate(model, cfg, out, files):
 
     def family(lam):
         from .model import make_quadratic_model
-        return make_quadratic_model(mdl_cfg["a"], mdl_cfg["b"], mdl_cfg["V"],
-                                    lam)
+        return dataclasses.replace(make_quadratic_model(
+            mdl_cfg["a"], mdl_cfg["b"], mdl_cfg["V"], lam), search=model.search)
 
     diag = periodic.bifurcation_sweep(
         family, lambdas, grid_n=_grid(cfg, ("bifurcate", "grid_n")).n,
         pinned_tol=cfg.get("bifurcate", "tol"),
         fp_tol=cfg.get("bifurcate", "fp_tol"),
-        n_max=cfg.get("bifurcate", "n_max"), search=_search_params(cfg))
+        n_max=cfg.get("bifurcate", "n_max"))
     rows = [(r.lam, r.klass, r.amplitude, r.period_estimate, r.min_abs_b)
             for r in diag.rows]
     files.append(reporting.write_csv(os.path.join(out, "bifurcation.csv"),
@@ -311,8 +293,7 @@ def run_command(command, config_path, out_dir, normalize_c=False,
             warnings.simplefilter("always", sg.AccuracyWarning)
             warnings.showwarning = count_accuracy
             if normalize_c:
-                c = sg.estimate_critical_value(model,
-                                               search=_search_params(cfg))
+                c = sg.estimate_critical_value(model)
                 model = shift_hamiltonian(model, c)
                 extra["normalized_c"] = c
             extra.update(_DISPATCH[command](model, cfg, out_dir, files))

@@ -15,20 +15,21 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import compile_expression, make_quadratic_model
+from .model import SearchParams, compile_expression, make_quadratic_model
 
 # section -> key -> (type tag, default, bound): each key's one entry owns its
 # type, its default (None means required-if-used) and its bound ("positive",
-# "nonnegative" or None), which _convert enforces
+# "nonnegative", a tuple of the allowed strings, or None), which _convert
+# enforces
 _SCHEMA = {
     "model": {
-        "family": ("str", "quadratic", None),
+        "family": ("str", "quadratic", ("quadratic",)),
         "a": ("expr", "1", None),
         "b": ("expr", "1", None),
         "V": ("expr", "0", None),
@@ -59,8 +60,8 @@ _SCHEMA = {
         "u0": ("float", 0.0, None),
         "x": ("float", 0.0, None),
         "t": ("float", 1.0, "positive"),
-        "direction": ("str", "forward", None),
-        "method": ("str", "both", None),
+        "direction": ("str", "forward", ("forward", "backward")),
+        "method": ("str", "both", ("grid", "shooting", "both")),
         "dt": ("float", 4e-3, "positive"),
     },
     "subsolution": {
@@ -69,7 +70,7 @@ _SCHEMA = {
         "n_t": ("int", 64, "positive"),
     },
     "periodic": {
-        "mode": ("str", "pinned", None),
+        "mode": ("str", "pinned", ("pinned", "longtime")),
         "x0": ("float", 0.0, None),
         "n_max": ("int", 200, "positive"),
         "tol": ("float", 5e-3, "positive"),
@@ -128,6 +129,11 @@ def _convert(section, key, raw):
             value = raw
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind}") from exc
+    if isinstance(bound, tuple):
+        if value not in bound:
+            raise ConfigError(f"{section}.{key} must be one of "
+                              f"{', '.join(bound)}, got {raw!r}")
+        return value
     numbers = value if kind == "floats" else [value]
     if kind in ("float", "floats") and not all(map(math.isfinite, numbers)):
         raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
@@ -189,11 +195,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_model(cfg: ExperimentConfig):
-    family = cfg.get("model", "family")
-    if family != "quadratic":
-        raise ConfigError(f"unknown model family {family!r}")
-    return make_quadratic_model(
+    """The configured quadratic-family model, with the window of the
+    ``search.*`` keys."""
+    model = make_quadratic_model(
         cfg.get("model", "a"), cfg.get("model", "b"), cfg.get("model", "V"),
         cfg.get("model", "lambda"), kappa=cfg.get("model", "kappa"),
         delta=cfg.get("model", "delta"),
     )
+    return replace(model, search=SearchParams(
+        v_max=cfg.get("search", "V_max"), p_max=cfg.get("search", "P_max"),
+        u_max=cfg.get("search", "U_max")))

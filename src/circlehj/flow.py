@@ -139,9 +139,10 @@ def _step_count(T, dt):
 
 
 def integrate_contact(model: HamiltonianModel, s0: ContactState, t_span, dt):
-    """Fixed-step RK4 integration of the contact characteristic system,
-    in the fewest equal steps of at most dt (``_step_count``, the split
-    of every fixed-step horizon in the package).
+    """Fixed-step RK4 integration of the contact characteristic system
+    from t_span[0] to t_span[1], forward or backward in time, in the
+    fewest equal steps of at most dt (``_step_count`` of the span's
+    length, the split of every fixed-step horizon in the package).
 
     Returns (times, states, winding): states keep x reduced mod 1 while
     winding counts signed circle traversals.  Raises BlowUp when |p| or
@@ -150,7 +151,7 @@ def integrate_contact(model: HamiltonianModel, s0: ContactState, t_span, dt):
     t0, t1 = float(t_span[0]), float(t_span[1])
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    steps = _step_count(t1 - t0, dt)
+    steps = _step_count(abs(t1 - t0), dt)
     h = (t1 - t0) / steps
     field = contact_field(model)
     x, p, u = float(s0.x), float(s0.p), float(s0.u)

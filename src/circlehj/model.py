@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 import operator
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -30,9 +30,11 @@ class SearchParams:
     """Compact search window standing in for the noncompact phase space.
 
     Extremizers are sought inside |v| <= v_max, |p| <= p_max; the
-    structural checks sample values in |u| <= u_max.  The bounds of the
-    evolution step's value fixed point are the constants INNER_TOL and
-    INNER_MAX_ITER of ``semigroup``.
+    structural checks sample values in |u| <= u_max.  The window is part
+    of the discretized Hamiltonian: each model carries one as its
+    ``search`` field, and every layer reads it from there.  The bounds of
+    the evolution step's value fixed point are the constants INNER_TOL
+    and INNER_MAX_ITER of ``semigroup``.
     """
 
     v_max: float = 10.0
@@ -89,7 +91,9 @@ class HamiltonianModel:
     and must broadcast over numpy arrays.  ``quad_coeffs``, when set, is
     the QuadCoeffs record of a quadratic-family member; the Lagrangian,
     the evolution step and the graph sweep then use its closed forms
-    instead of calling back.
+    instead of calling back.  ``search`` is the compact window that stands
+    in for the noncompact phase space (``config.build_model`` sets it from
+    the ``search.*`` keys); models derived from this one keep it.
     """
 
     eval_H: Callable
@@ -101,6 +105,7 @@ class HamiltonianModel:
     delta: float
     name: str = "custom"
     quad_coeffs: Optional[QuadCoeffs] = None
+    search: SearchParams = DEFAULT_SEARCH
     # Former fast-path hooks, accepted only as None: the setup of the
     # generic_characteristics workload in circlebench/workloads.py builds
     # its callback-only model with dataclasses.replace(model,
@@ -316,11 +321,9 @@ def conjugate_model(model: HamiltonianModel) -> HamiltonianModel:
         return model.d_pp(x, -p, -u)
 
     q = model.quad_coeffs
-    return HamiltonianModel(
-        eval_H=eval_H, d_p=d_p, d_x=d_x, d_u=d_u, d_pp=d_pp,
-        kappa=model.kappa, delta=model.delta, name=f"conjugate({model.name})",
-        quad_coeffs=None if q is None else q.conjugate(),
-    )
+    return replace(model, eval_H=eval_H, d_p=d_p, d_x=d_x, d_u=d_u,
+                   d_pp=d_pp, name=f"conjugate({model.name})",
+                   quad_coeffs=None if q is None else q.conjugate())
 
 
 def freeze_classical(model: HamiltonianModel) -> HamiltonianModel:
@@ -336,12 +339,10 @@ def freeze_classical(model: HamiltonianModel) -> HamiltonianModel:
         return 0.0 * (np.asarray(x, dtype=float) + p + u)
 
     q = model.quad_coeffs
-    return HamiltonianModel(
-        eval_H=at0(model.eval_H), d_p=at0(model.d_p), d_x=at0(model.d_x),
-        d_u=d_u, d_pp=at0(model.d_pp), kappa=0.0, delta=0.0,
-        name=f"classical({model.name})",
-        quad_coeffs=None if q is None else q._replace(lam=0.0),
-    )
+    return replace(model, eval_H=at0(model.eval_H), d_p=at0(model.d_p),
+                   d_x=at0(model.d_x), d_u=d_u, d_pp=at0(model.d_pp),
+                   kappa=0.0, delta=0.0, name=f"classical({model.name})",
+                   quad_coeffs=None if q is None else q._replace(lam=0.0))
 
 
 def shift_hamiltonian(model: HamiltonianModel, c: float) -> HamiltonianModel:
@@ -352,16 +353,13 @@ def shift_hamiltonian(model: HamiltonianModel, c: float) -> HamiltonianModel:
         return model.eval_H(x, p, u) - c
 
     q = model.quad_coeffs
-    return HamiltonianModel(
-        eval_H=eval_H, d_p=model.d_p, d_x=model.d_x, d_u=model.d_u,
-        d_pp=model.d_pp, kappa=model.kappa, delta=model.delta,
-        name=f"{model.name} - {c:g}",
-        quad_coeffs=None if q is None else q.shifted(c),
-    )
+    return replace(model, eval_H=eval_H, name=f"{model.name} - {c:g}",
+                   quad_coeffs=None if q is None else q.shifted(c))
 
 
-def solve_p_star_batch(model, x, v, u, p_max=10.0):
-    """Vectorized momentum solve d_p(x, p*, u) = v, clipped to [-p_max, p_max].
+def solve_p_star_batch(model, x, v, u):
+    """Vectorized momentum solve d_p(x, p*, u) = v, clipped to [-p_max, p_max]
+    of the model's window.
 
     Newton from p = 0 with Hessian floor until every element is settled:
     converged, or clamped at -p_max (p_max) with d_p - v still positive
@@ -372,6 +370,7 @@ def solve_p_star_batch(model, x, v, u, p_max=10.0):
     raises instead.  A bisection cleanup then runs only on unconverged
     elements whose root the window brackets.
     """
+    p_max = model.search.p_max
     x, v, u = np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float),
                                   np.asarray(u, float))
     p = np.zeros(x.shape)
@@ -404,7 +403,7 @@ def solve_p_star_batch(model, x, v, u, p_max=10.0):
     return np.where(bracketed, 0.5 * (lo + hi), p)
 
 
-def lagrangian(model, x, v, u, p_max=10.0):
+def lagrangian(model, x, v, u):
     """Vectorized Legendre transform value L(x, v, u) = v p* - H(x, p*, u).
 
     Uses the closed form of a quadratic-family record when the model
@@ -414,18 +413,19 @@ def lagrangian(model, x, v, u, p_max=10.0):
     """
     if model.quad_coeffs is not None:
         return model.quad_coeffs.lagrangian(x, v, u)[0]
-    p = solve_p_star_batch(model, x, v, u, p_max=p_max)
+    p = solve_p_star_batch(model, x, v, u)
     return v * p - model.eval_H(x, p, u)
 
 
-def legendre_transform(model, x, v, u,
-                       search: SearchParams = DEFAULT_SEARCH):
+def legendre_transform(model, x, v, u):
     """Scalar Legendre transform: returns (L value, maximizing momentum).
 
     The momentum is the one solve_p_star_batch returns, the solver of the
     evolution step.  Raises ValueError when |v| > v_max and NoBracket when
-    d_p(x, p, u) - v has no sign change on [-p_max, p_max].
+    d_p(x, p, u) - v has no sign change on [-p_max, p_max], the bounds of
+    the model's window.
     """
+    search = model.search
     if abs(v) > search.v_max:
         raise ValueError(f"|v| = {abs(v):g} exceeds the search bound {search.v_max:g}")
     p_max = search.p_max
@@ -435,19 +435,19 @@ def legendre_transform(model, x, v, u,
             f"d_p - v has no sign change on [{-p_max:g}, {p_max:g}] "
             f"at (x={x:g}, v={v:g}, u={u:g})"
         )
-    p = float(solve_p_star_batch(model, x, v, u, p_max=p_max))
+    p = float(solve_p_star_batch(model, x, v, u))
     return v * p - float(model.eval_H(x, p, u)), p
 
 
-def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH
-                      ) -> AssumptionReport:
-    """Sample the structural assumptions on a compact window.
+def check_assumptions(model) -> AssumptionReport:
+    """Sample the structural assumptions on the model's window.
 
     Convexity and the strict-decrease band are checked on a grid of
     (x, p, u) triples; the negativity condition on min_p H(x, p, 0) is
     evaluated through the Legendre machinery (min_p H = -L(x, 0, 0)).
     Failures are reported, never raised.
     """
+    search = model.search
     xg = np.linspace(0.0, 1.0, 16, endpoint=False)
     pg = np.linspace(-search.p_max, search.p_max, 12)
     ug = np.linspace(-search.u_max, search.u_max, 8)
@@ -467,8 +467,7 @@ def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH
     slopes_lo = np.asarray(model.d_p(XU[0], -search.p_max + 0.0 * XU[0], XU[1]), float)
     h2_margin = float(min(np.min(slopes_hi), np.min(-slopes_lo)))
 
-    min_H = -lagrangian(model, xg, np.zeros_like(xg), np.zeros_like(xg),
-                        p_max=search.p_max)
+    min_H = -lagrangian(model, xg, np.zeros_like(xg), np.zeros_like(xg))
     c_margin = float(np.max(min_H))
     c_ok = c_margin < 0.0
 
@@ -479,8 +478,11 @@ def check_assumptions(model, search: SearchParams = DEFAULT_SEARCH
     )
 
 
-def derivative_consistency(model, search: SearchParams = DEFAULT_SEARCH):
-    """Worst central-difference mismatch of (d_p, d_x, d_u) against eval_H."""
+def derivative_consistency(model):
+    """Worst central-difference mismatch of (d_p, d_x, d_u) against eval_H,
+    sampled on half the model's momentum window and a fifth of its value
+    window."""
+    search = model.search
     rng = np.random.default_rng(20240817)
     x = rng.uniform(0.0, 1.0, 64)
     p = rng.uniform(-0.5 * search.p_max, 0.5 * search.p_max, 64)

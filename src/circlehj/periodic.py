@@ -28,9 +28,8 @@ from .errors import (EpsilonUnderflow, FlatObjective, NotConverged,
 from .flow import (B_MIN_TOL, OrbitResult, check_condition_A,
                    shoot_stationary_orbit)
 from .model import HamiltonianModel
-from .semigroup import (DEFAULT_SEARCH, EvolutionTrace, Field, Grid,
-                        SearchParams, _iterate_to_limit, evolve,
-                        stationary_limit, sup_dist)
+from .semigroup import (EvolutionTrace, Field, Grid, _iterate_to_limit,
+                        evolve, stationary_limit, sup_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,23 +222,22 @@ def _upwind_pde_residual(model, slices, times):
     return worst
 
 
-def _period_map_limit(model, start, period, dt, n_max, tol, search):
+def _period_map_limit(model, start, period, dt, n_max, tol):
     """Iterate the period map to (quasi) stationarity, accepting 10 * tol."""
-    return _iterate_to_limit(
-        lambda f: evolve(model, f, period, dt, search=search), start, tol,
-        n_max, 10.0 * tol)
+    return _iterate_to_limit(lambda f: evolve(model, f, period, dt), start,
+                             tol, n_max, 10.0 * tol)
 
 
-def _periodic_limit(model, start, period, dt, n_max, tol, m_slices, search,
+def _periodic_limit(model, start, period, dt, n_max, tol, m_slices,
                     **fields) -> PeriodicSolution:
     """The period-map limit from start, with one recorded period of m+1
     uniformly spaced slices, its amplitude and its residuals; ``fields``
     are the caller's own PeriodicSolution fields."""
     state, history, n_done, quasi = _period_map_limit(
-        model, start, period, dt, n_max, tol, search)
+        model, start, period, dt, n_max, tol)
     steps_per_slice = max(1, round(period / (m_slices * dt)))
     trace = evolve(model, state, period, period / (m_slices * steps_per_slice),
-                   snapshot_every=period / m_slices, search=search)
+                   snapshot_every=period / m_slices)
     slices, times = trace.snapshots, trace.times
     return PeriodicSolution(
         slices=slices, times=times, period=period,
@@ -253,7 +251,6 @@ def _periodic_limit(model, start, period, dt, n_max, tol, m_slices, search,
 def pinned_periodic_limit(model: HamiltonianModel, orbit: OrbitResult, x0=0.0,
                           n_max=200, tol=5e-3, grid: Optional[Grid] = None,
                           dt: Optional[float] = None, m_slices=64, u_cap=50.0,
-                          search: SearchParams = DEFAULT_SEARCH,
                           amplitude_floor_factor=0.5) -> PeriodicSolution:
     """Periodic limit of the evolution from orbit-pinned point data.
 
@@ -269,7 +266,7 @@ def pinned_periodic_limit(model: HamiltonianModel, orbit: OrbitResult, x0=0.0,
     spec = build_subsolution(model, orbit, x0=x0)
     start = Field.pinned(g, x0, float(orbit.u0_at(x0)), u_cap)
     sol = _periodic_limit(model, start, orbit.period, dt, n_max, tol, m_slices,
-                          search, x0=float(x0), epsilon_floor=spec.epsilon)
+                          x0=float(x0), epsilon_floor=spec.epsilon)
     sol.amplitude_at_x0 = float(_oscillation(sol.slices)[g.nearest(x0)])
     floor = amplitude_floor_factor * spec.epsilon
     if sol.amplitude_at_x0 < floor:
@@ -283,8 +280,7 @@ def pinned_periodic_limit(model: HamiltonianModel, orbit: OrbitResult, x0=0.0,
 def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
                              orbit: OrbitResult, n_max=200, tol=5e-3,
                              dt: Optional[float] = None, m_slices=64,
-                             u_cap=50.0, search: SearchParams = DEFAULT_SEARCH,
-                             auto_shift=True,
+                             u_cap=50.0, auto_shift=True,
                              localization_t=5.0) -> PeriodicSolution:
     """Long-time periodic limit for data touching the stationary state.
 
@@ -307,16 +303,14 @@ def long_time_periodic_limit(model: HamiltonianModel, phi: Field,
     shifted = Field(g, phi.values + shift)
     gap = gap + shift
     sol = _periodic_limit(model, shifted, orbit.period, dt, n_max, tol,
-                          m_slices, search, shift_applied=float(shift))
+                          m_slices, shift_applied=float(shift))
 
     # localization: evolving only the data near the touching set must
     # reproduce the full evolution at late times
     dilated = _dilate(gap <= touch_tol, 3)
     pinned = Field(g, np.where(dilated, shifted.values, u_cap), u_cap)
-    full_tr = evolve(model, shifted, localization_t, dt, search=search,
-                     u_cap=u_cap)
-    loc_tr = evolve(model, pinned, localization_t, dt, search=search,
-                    u_cap=u_cap)
+    full_tr = evolve(model, shifted, localization_t, dt, u_cap=u_cap)
+    loc_tr = evolve(model, pinned, localization_t, dt, u_cap=u_cap)
     sol.localization_gap = float(sup_dist(full_tr.final, loc_tr.final))
     return sol
 
@@ -421,8 +415,7 @@ class TrichotomyReport:
 
 def classify_trichotomy(model: HamiltonianModel, phi: Field, u_plus: Field,
                         t_budget=20.0, dt: Optional[float] = None,
-                        u_cap=50.0,
-                        search: SearchParams = DEFAULT_SEARCH) -> TrichotomyReport:
+                        u_cap=50.0) -> TrichotomyReport:
     """Static sign classification with dynamic confirmation.
 
     The datum is compared to the forward stationary solution within a
@@ -441,7 +434,7 @@ def classify_trichotomy(model: HamiltonianModel, phi: Field, u_plus: Field,
         klass = "D1_bounded"
 
     trace = evolve(model, phi, t_budget, dt, snapshot_every=min(0.25, t_budget),
-                   search=search, u_cap=u_cap)
+                   u_cap=u_cap)
     report = TrichotomyReport(klass=klass, confirmed=False, evidence_min=gmin,
                               evidence_max=gmax, touch_tol=touch_tol)
     if klass != "D1_bounded":
@@ -494,8 +487,7 @@ class BifurcationDiagram:
 
 def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
                grid_n: int, dt: Optional[float], pinned_tol: float,
-               fp_tol: float, n_max: int,
-               search: SearchParams) -> BifurcationRow:
+               fp_tol: float, n_max: int) -> BifurcationRow:
     g = Grid(grid_n)
     dt = g.h if dt is None else dt
     if lam == 0.0:
@@ -508,7 +500,7 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
         # the amplitude is the gap of its stationary limit
         try:
             _, gap = stationary_limit(model, Field.constant(g, 0.1), fp_tol,
-                                      60.0, dt, search)
+                                      60.0, dt)
         except NotConverged as exc:
             return BifurcationRow(lam, "fixed_point", math.nan, math.nan,
                                   math.nan, error=str(exc))
@@ -530,7 +522,7 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
     try:
         sol = pinned_periodic_limit(model, orbit, x0=0.0, n_max=n_max,
                                     tol=pinned_tol, grid=g, dt=dt,
-                                    m_slices=32, search=search)
+                                    m_slices=32)
     except NotNontrivial as exc:
         return BifurcationRow(lam, "fixed_point", 0.0, orbit.period, min_b,
                               error=str(exc))
@@ -542,9 +534,9 @@ def _sweep_row(family: Callable[[float], HamiltonianModel], lam: float,
 
 def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
                       grid_n=128, dt: Optional[float] = None, pinned_tol=5e-3,
-                      fp_tol=1e-4, n_max=200,
-                      search: SearchParams = DEFAULT_SEARCH) -> BifurcationDiagram:
-    """Classify the family member at each parameter value.
+                      fp_tol=1e-4, n_max=200) -> BifurcationDiagram:
+    """Classify the family member at each parameter value; each member
+    brings its own search window.
 
     Rows never abort the sweep; failures are recorded per row.  A row
     with lam < 0 is the fixed point: solved by policy iteration to fp_tol
@@ -559,7 +551,7 @@ def bifurcation_sweep(family: Callable[[float], HamiltonianModel], lambdas,
     for lam in sorted(float(l) for l in lambdas):
         try:
             rows.append(_sweep_row(family, lam, grid_n, dt, pinned_tol,
-                                   fp_tol, n_max, search))
+                                   fp_tol, n_max))
         except Exception as exc:  # a row must never kill the sweep
             rows.append(BifurcationRow(
                 lam, "degenerate", math.nan, math.nan, math.nan,

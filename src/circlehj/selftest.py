@@ -8,6 +8,7 @@ broken one can exercise the failure path.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import time
@@ -133,7 +134,7 @@ def check_window_minimum_exact():
     model = constant_drift_model(1.0, 0.5)
     rng = np.random.default_rng(0)
     for n, dt in ((1024, 8e-3), (256, 1.0 / 256)):
-        ws = sg._StepWorkspace(model, sg.Grid(n), dt, sg.DEFAULT_SEARCH)
+        ws = sg._StepWorkspace(model, sg.Grid(n), dt)
         phi = rng.uniform(-0.1, 0.1, n)
         u = rng.uniform(-0.1, 0.1, n)
         block, block_v = ws.cell_block(phi, u)
@@ -150,7 +151,7 @@ def check_generic_step_certified():
     model = nonaffine_model()
     g = sg.Grid(128)
     rng = np.random.default_rng(2)
-    ws = sg._StepWorkspace(model, g, 1.0 / 16, sg.DEFAULT_SEARCH)
+    ws = sg._StepWorkspace(model, g, 1.0 / 16)
     for values in (0.1 * np.cos(2 * np.pi * g.nodes),
                    rng.uniform(-0.1, 0.1, g.n)):
         w = sg.lax_oleinik_step(model, sg.Field(g, values), ws.dt).values
@@ -175,24 +176,21 @@ def check_evolve_matches_steps():
     model = constant_drift_model(1.0, 0.5)
     rng = np.random.default_rng(1)
     # a window narrower than the drift puts capped nodes' minima on its end
-    narrow = sg.SearchParams(v_max=0.5)
+    narrow = dataclasses.replace(model, search=sg.SearchParams(v_max=0.5))
     for n, dt in ((256, 1.0 / 256), (1024, 8e-3)):
         g = sg.Grid(n)
         pinned = sg.Field.pinned(g, rng.uniform(), 0.1, 50.0)
-        for phi, search in ((sg.Field(g, rng.uniform(-0.1, 0.1, n)),
-                             sg.DEFAULT_SEARCH),
-                            (pinned, sg.DEFAULT_SEARCH), (pinned, narrow)):
-            trace = sg.evolve(model, phi, 8 * dt, dt, snapshot_every=3 * dt,
-                              search=search)
+        for phi, m in ((sg.Field(g, rng.uniform(-0.1, 0.1, n)), model),
+                       (pinned, model), (pinned, narrow)):
+            trace = sg.evolve(m, phi, 8 * dt, dt, snapshot_every=3 * dt)
             # the same run from single steps, window hits from the cell block
-            ws = sg._StepWorkspace(model, g, dt, search)
+            ws = sg._StepWorkspace(m, g, dt)
             snaps, hits, current = [phi], 0, phi
             for k in range(1, 9):
                 block, block_v = ws.cell_block(current.values, None)
                 v = block_v[np.arange(n), np.argmin(block, axis=1)]
-                current = sg.lax_oleinik_step(model, current, dt,
-                                              search=search)
-                edge = np.abs(v) == search.v_max
+                current = sg.lax_oleinik_step(m, current, dt)
+                edge = np.abs(v) == m.search.v_max
                 if current.cap_value is not None:
                     edge &= ~current.cap_mask
                 hits += int(np.count_nonzero(edge))
@@ -209,7 +207,7 @@ def check_evolve_matches_steps():
                 kind = "pinned" if phi.cap_value is not None else "free"
                 return False, (f"evolve differs from single steps on {kind} "
                                f"data at n = {n}, dt = {dt:g}, "
-                               f"v_max = {search.v_max:g}")
+                               f"v_max = {m.search.v_max:g}")
     return True, "evolve equals a chain of single steps bit for bit"
 
 

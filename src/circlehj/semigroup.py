@@ -45,12 +45,13 @@ turns into the tolerance certifies the result.  ``stationary_limit``
 takes this solve where it applies and the period map elsewhere;
 ``estimate_critical_value`` runs it on the frozen model's discounted step.
 
-A step reads a workspace, the tables and buffers that (model object,
-grid, dt, search window) determine.  ``_workspace_for`` builds it and
-keeps the last one in the calling thread's slot, to return while all
-four match: the periods of a limit and the evaluations of a
-reversibility solve step on one workspace.  Threads do not share the
-slot.  ``estimate_critical_value`` builds its own.  The contraction
+The velocity and momentum window is the model's ``search`` field, so a
+model object fixes its window.  A step reads a workspace, the tables
+and buffers that (model object, grid, dt) determine.  ``_workspace_for``
+builds it and keeps the last one in the calling thread's slot, to
+return while all three match: the periods of a limit and the
+evaluations of a reversibility solve step on one workspace.  Threads do
+not share the slot.  ``estimate_critical_value`` builds its own.  The contraction
 bound kappa*dt < 1/2 is checked once, when a workspace is built.
 ``evolve`` keeps the raw values of the running state, clips them to the
 cap in place and builds a Field only for a snapshot; a Field derives its
@@ -78,8 +79,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (BracketFail, CapTooSmall, InnerNotConverged,
                      NoTrajectoryLanded, NotConverged)
 from .flow import BLOW_LIMIT, _rk4_step, _step_count, contact_field
-from .model import (DEFAULT_SEARCH, HamiltonianModel, SearchParams,
-                    conjugate_model, freeze_classical, solve_p_star_batch)
+# DEFAULT_SEARCH and SearchParams are re-exported for sg.SearchParams(...)
+from .model import (DEFAULT_SEARCH, HamiltonianModel,  # noqa: F401
+                    SearchParams, conjugate_model, freeze_classical,
+                    solve_p_star_batch)
 
 _log = logging.getLogger(__name__)
 
@@ -254,7 +257,8 @@ def recording(record: RunRecord):
 
 
 class _StepWorkspace:
-    """Per-(model, grid, dt, search) precomputation reused across steps.
+    """Per-(model, grid, dt) precomputation reused across steps; the
+    velocity window is the model's.
 
     Column j of the velocity window is the cell k = i + offset[j] that
     holds the foot of node i; the velocities [v_lo[j], v_hi[j]] keep the
@@ -271,8 +275,7 @@ class _StepWorkspace:
     build their own.
     """
 
-    def __init__(self, model: HamiltonianModel, grid: Grid, dt: float,
-                 search: SearchParams):
+    def __init__(self, model: HamiltonianModel, grid: Grid, dt: float):
         kdt = model.kappa * float(dt)
         if kdt >= 0.5:
             raise ValueError(f"kappa*dt = {kdt:g} >= 0.5 breaks the inner "
@@ -280,7 +283,7 @@ class _StepWorkspace:
         self.model = model
         self.grid = grid
         self.dt = float(dt)
-        self.search = search
+        search = model.search
         n = grid.n
         self.x = grid.nodes
         dtn = self.dt * n
@@ -336,7 +339,7 @@ class _StepWorkspace:
 
     def _L_at(self, x, v, u):
         """Numeric Lagrangian of a model without a coefficient record."""
-        p = solve_p_star_batch(self.model, x, v, u, p_max=self.search.p_max)
+        p = solve_p_star_batch(self.model, x, v, u)
         return v * p - self.model.eval_H(x, p, u)
 
     def _load(self, values):
@@ -399,7 +402,7 @@ class _StepWorkspace:
             p = n * slope
             # the numeric L clamps p* to [-p_max, p_max] and is linear in v
             # beyond; a steeper cell is monotone, minimal at an end
-            vertex = np.where(np.abs(p) <= self.search.p_max,
+            vertex = np.where(np.abs(p) <= self.model.search.p_max,
                               self.model.d_p(x, p, uu), np.copysign(np.inf, p))
             vv = np.clip(vertex, v_lo, v_hi)
             total = (phi_k + (off - vv * dtn) * slope
@@ -467,8 +470,7 @@ class _StepWorkspace:
         return lambda u: self._cell_minimum(*cells, u, i)
 
 
-def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
-                     search: SearchParams = DEFAULT_SEARCH) -> Field:
+def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float) -> Field:
     """One implicit Lax-Oleinik step of size dt.
 
     Capped nodes of the input participate with their cap value; the
@@ -476,7 +478,7 @@ def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
     the value fixed point stalls (impossible while kappa*dt < 1/2) and
     ValueError when dt breaks that contraction bound.
     """
-    ws = _workspace_for(model, phi.grid, dt, search)
+    ws = _workspace_for(model, phi.grid, dt)
     raw, _ = _step_values(ws, phi.values)
     cap = phi.cap_value
     if cap is None:
@@ -487,15 +489,15 @@ def lax_oleinik_step(model: HamiltonianModel, phi: Field, dt: float,
 _SLOT = threading.local()
 
 
-def _workspace_for(model, grid, dt, search):
-    """The step workspace of this model object, grid, dt and search
-    window: the one in the calling thread's slot while all four match,
-    else a new one, which takes the slot.  Reuse changes no value."""
+def _workspace_for(model, grid, dt):
+    """The step workspace of this model object, grid and dt (the model
+    carries its window): the one in the calling thread's slot while all
+    three match, else a new one, which takes the slot.  Reuse changes no
+    value."""
     ws = getattr(_SLOT, "workspace", None)
-    if (ws is None or ws.model is not model or ws.grid != grid
-            or ws.dt != dt or ws.search != search):
+    if ws is None or ws.model is not model or ws.grid != grid or ws.dt != dt:
         _SLOT.workspace = None          # free the old buffers first
-        ws = _SLOT.workspace = _StepWorkspace(model, grid, dt, search)
+        ws = _SLOT.workspace = _StepWorkspace(model, grid, dt)
     return ws
 
 
@@ -504,7 +506,7 @@ def _step_values(ws: _StepWorkspace, values: np.ndarray):
     minimizing velocity is an end of the velocity window."""
     step = _step_affine if ws.affine is not None else _step_generic
     w, v_star = step(ws, values)
-    return w, np.abs(v_star) == ws.search.v_max
+    return w, np.abs(v_star) == ws.model.search.v_max
 
 
 def _step_affine(ws: _StepWorkspace, values):
@@ -577,7 +579,6 @@ def _warn_if_coarse(dt, grid, search):
 
 def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
            snapshot_every: Optional[float] = None,
-           search: SearchParams = DEFAULT_SEARCH,
            u_cap: float = 50.0) -> EvolutionTrace:
     """Run the backward semigroup for time T, collecting snapshots.
 
@@ -593,9 +594,9 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
         return EvolutionTrace(np.array([0.0]), [phi.copy()], model.name, dt)
     steps = _step_count(T, dt)
     dt_eff = T / steps
-    _warn_if_coarse(dt_eff, grid, search)
+    _warn_if_coarse(dt_eff, grid, model.search)
     stride = steps if snapshot_every is None else max(1, round(snapshot_every / dt_eff))
-    ws = _workspace_for(model, grid, dt_eff, search)
+    ws = _workspace_for(model, grid, dt_eff)
     cap = phi.cap_value
     half = u_cap / 2.0
     times = [0.0]
@@ -633,7 +634,6 @@ def evolve(model: HamiltonianModel, phi: Field, T: float, dt: float,
 
 def evolve_forward(model: HamiltonianModel, phi: Field, T: float, dt: float,
                    snapshot_every: Optional[float] = None,
-                   search: SearchParams = DEFAULT_SEARCH,
                    u_cap: float = 50.0) -> EvolutionTrace:
     """Forward semigroup via conjugation: -T~(-phi) under H(x,-p,-u).
 
@@ -643,8 +643,7 @@ def evolve_forward(model: HamiltonianModel, phi: Field, T: float, dt: float,
     if phi.cap_value is not None:
         raise ValueError("evolve_forward takes uncapped data only")
     trace = evolve(conjugate_model(model), Field(phi.grid, -phi.values), T,
-                   dt, snapshot_every=snapshot_every, search=search,
-                   u_cap=u_cap)
+                   dt, snapshot_every=snapshot_every, u_cap=u_cap)
     snaps = [Field(s.grid, -s.values) for s in trace.snapshots]
     return EvolutionTrace(trace.times, snaps, model.name, trace.dt,
                           diverged=trace.diverged,
@@ -724,15 +723,14 @@ def _log_limit(outcome, periods, history):
               outcome, periods, f"{history[-1]:.3g}" if history else "none")
 
 
-def _contracting_workspace(model: HamiltonianModel, grid: Grid, dt: float,
-                          search: SearchParams = DEFAULT_SEARCH):
+def _contracting_workspace(model: HamiltonianModel, grid: Grid, dt: float):
     """Workspace of the step that evolve takes over one unit period at dt,
     if that step is a contraction (a coefficient record with lam < 0);
     None otherwise."""
     q = model.quad_coeffs
     if q is None or q.lam >= 0.0:
         return None
-    return _workspace_for(model, grid, 1.0 / _step_count(1.0, dt), search)
+    return _workspace_for(model, grid, 1.0 / _step_count(1.0, dt))
 
 
 def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float,
@@ -756,7 +754,7 @@ def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float,
     nodes at +-v_max count as window hits.  Returns (w, certifying
     residual); raises NotConverged after INNER_MAX_ITER sweeps.
     """
-    _warn_if_coarse(ws.dt, ws.grid, ws.search)
+    _warn_if_coarse(ws.dt, ws.grid, ws.model.search)
     bound = (1.0 - 1.0 / rate) * tol
     n = ws.grid.n
     i = ws._node_index
@@ -770,7 +768,7 @@ def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float,
         if residual <= bound:
             if record is not None:
                 record.window_hits += int(np.count_nonzero(
-                    np.abs(v_star) == ws.search.v_max))
+                    np.abs(v_star) == ws.model.search.v_max))
             _log.info("policy fixed point after %d sweeps, residual %.3g",
                       sweep, residual)
             return w, residual
@@ -789,7 +787,7 @@ def _policy_fixed_point(ws: _StepWorkspace, w0: np.ndarray, tol: float,
 
 
 def stationary_limit(model: HamiltonianModel, start: Field, tol, t_max, dt,
-                     search: SearchParams = DEFAULT_SEARCH, accept_tol=None):
+                     accept_tol=None):
     """(limit, gap): the stationary limit of T- from ``start``.
 
     Where the step contracts (a coefficient record with lam < 0) and
@@ -799,21 +797,20 @@ def stationary_limit(model: HamiltonianModel, start: Field, tol, t_max, dt,
     accepting an increment <= accept_tol (tol by default), and the gap is
     the last counted increment.
     """
-    ws = (_contracting_workspace(model, start.grid, dt, search)
+    ws = (_contracting_workspace(model, start.grid, dt)
           if start.cap_value is None else None)
     if ws is not None:
         w, gap = _policy_fixed_point(ws, start.values, tol,
                                      1.0 - ws.dt * ws.affine)
         return Field(start.grid, w), gap
     limit, history, _, _ = _iterate_to_limit(
-        lambda f: evolve(model, f, 1.0, dt, search=search), start, tol,
+        lambda f: evolve(model, f, 1.0, dt), start, tol,
         math.ceil(t_max), tol if accept_tol is None else accept_tol)
     return limit, history[-1]
 
 
 def weak_kam_forward(model: HamiltonianModel, grid: Grid, tol=1e-6, t_max=80.0,
                      dt: Optional[float] = None,
-                     search: SearchParams = DEFAULT_SEARCH,
                      phi0: Optional[Field] = None) -> Field:
     """Forward weak KAM solution: the stationary limit of T+ from phi0
     (zero by default), to within tol.
@@ -827,14 +824,12 @@ def weak_kam_forward(model: HamiltonianModel, grid: Grid, tol=1e-6, t_max=80.0,
     if start.cap_value is not None:
         raise ValueError("weak_kam_forward takes uncapped data only")
     limit, _ = stationary_limit(conjugate_model(model),
-                                Field(grid, -start.values), tol, t_max, dt,
-                                search)
+                                Field(grid, -start.values), tol, t_max, dt)
     return Field(grid, -limit.values)
 
 
 def weak_kam_backward(model: HamiltonianModel, u_plus: Field, tol=1e-6,
-                      t_max=80.0, dt: Optional[float] = None,
-                      search: SearchParams = DEFAULT_SEARCH) -> Field:
+                      t_max=80.0, dt: Optional[float] = None) -> Field:
     """Backward weak KAM solution: the ``stationary_limit`` from u_plus.
 
     For strictly decreasing models the stationary state repels every
@@ -845,11 +840,10 @@ def weak_kam_backward(model: HamiltonianModel, u_plus: Field, tol=1e-6,
     to 5e-3, otherwise NotConverged is raised.
     """
     dt = u_plus.grid.h if dt is None else dt
-    return stationary_limit(model, u_plus, tol, t_max, dt, search, 5e-3)[0]
+    return stationary_limit(model, u_plus, tol, t_max, dt, 5e-3)[0]
 
 
-def estimate_critical_value(model: HamiltonianModel,
-                            search: SearchParams = DEFAULT_SEARCH) -> float:
+def estimate_critical_value(model: HamiltonianModel) -> float:
     """Critical value c of the frozen Hamiltonian H(x, p, 0) by vanishing
     discount (Davini, Fathi, Iturriaga & Zavidovique, Invent. Math. 206,
     2016): the solution w of eps w + H(x, w_x, 0) = 0 has -eps w -> c
@@ -862,7 +856,7 @@ def estimate_critical_value(model: HamiltonianModel,
     points.  Raises NotConverged when a solve does not certify.
     """
     eps, dt = 1e-3, 4e-3
-    ws = _StepWorkspace(freeze_classical(model), Grid(128), dt, search)
+    ws = _StepWorkspace(freeze_classical(model), Grid(128), dt)
 
     def c_at(discount):
         w, _ = _policy_fixed_point(ws, np.zeros(ws.grid.n), 1e-3,
@@ -941,7 +935,7 @@ def _landing_brackets(d, alive):
     return idx, k[idx]
 
 
-def _shooting_action(model, x0, u0, x, t, direction, search):
+def _shooting_action(model, x0, u0, x, t, direction):
     """Action value from characteristics: extremal landed endpoint value.
 
     Forward: integrate from (x0, p, u0) for time t over a momentum fan,
@@ -951,7 +945,8 @@ def _shooting_action(model, x0, u0, x, t, direction, search):
     and take the maximum departure value (the dual extremum).
     """
     sign = 1.0 if direction == "forward" else -1.0
-    p_grid = np.linspace(-search.p_max, search.p_max, 257)
+    p_max = model.search.p_max
+    p_grid = np.linspace(-p_max, p_max, 257)
     for attempt in range(3):
         xe, _, ue, alive = _flow_batch(model, np.full(p_grid.shape, float(x0)),
                                        p_grid, float(u0), sign * t, 2.5e-3)
@@ -990,7 +985,7 @@ def _shooting_action(model, x0, u0, x, t, direction, search):
         vals = best_u[np.abs(best_f) < 1e-6]
         if vals.size:
             return float(vals.min() if direction == "forward" else vals.max())
-        p_grid = np.linspace(-search.p_max, search.p_max, (p_grid.size - 1) * 4 + 1)
+        p_grid = np.linspace(-p_max, p_max, (p_grid.size - 1) * 4 + 1)
     raise NoTrajectoryLanded(
         f"no characteristic from x0 = {x0:g} reached x = {x:g} at t = {t:g}"
     )
@@ -998,8 +993,7 @@ def _shooting_action(model, x0, u0, x, t, direction, search):
 
 def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
                     method="grid", grid: Optional[Grid] = None, dt=1e-3,
-                    u_cap=50.0,
-                    search: SearchParams = DEFAULT_SEARCH) -> ActionResult:
+                    u_cap=50.0) -> ActionResult:
     """Implicit action with pinned initial (forward) or terminal (backward) value.
 
     The grid method evolves a pinned-cap datum and reads the node nearest
@@ -1021,7 +1015,7 @@ def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
         sign = 1.0 if direction == "forward" else -1.0
         m = model if sign > 0.0 else conjugate_model(model)
         trace = evolve(m, Field.pinned(g, x0, sign * u0, u_cap), t, dt,
-                       search=search, u_cap=u_cap)
+                       u_cap=u_cap)
         raw = float(trace.final.values[g.nearest(x)])
         grid_value = sign * raw
         if raw >= 0.99 * u_cap:
@@ -1029,7 +1023,7 @@ def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
                 f"action value {grid_value:g} is within 1% of the cap {u_cap:g}"
             )
     if method in ("shooting", "both"):
-        shoot_value = _shooting_action(model, x0, u0, x, t, direction, search)
+        shoot_value = _shooting_action(model, x0, u0, x, t, direction)
     value = grid_value if grid_value is not None else shoot_value
     return ActionResult(x0=float(x0), u0=float(u0), x=float(x), t=float(t),
                         value=value, method=method, cap_used=u_cap,
@@ -1038,8 +1032,7 @@ def action_function(model: HamiltonianModel, x0, u0, x, t, direction="forward",
 
 def solve_reversibility(model: HamiltonianModel, x0, x, t, target_u,
                         bracket=(-50.0, 50.0), grid: Optional[Grid] = None,
-                        dt=1e-3, u_cap=50.0,
-                        search: SearchParams = DEFAULT_SEARCH) -> float:
+                        dt=1e-3, u_cap=50.0) -> float:
     """Initial value u0 with pinned action h_{x0,u0}(x, t) = target_u.
 
     Bisection, using the strict monotonicity of the action in its pinned
@@ -1054,9 +1047,8 @@ def solve_reversibility(model: HamiltonianModel, x0, x, t, target_u,
               + 1.0)
 
     def action_at(u0v):
-        res = action_function(model, x0, u0v, x, t, grid=g, dt=dt, u_cap=cap,
-                              search=search)
-        return res.value
+        return action_function(model, x0, u0v, x, t, grid=g, dt=dt,
+                               u_cap=cap).value
     f_lo = action_at(lo) - target_u
     f_hi = action_at(hi) - target_u
     if f_lo > 0.0 or f_hi < 0.0:

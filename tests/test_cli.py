@@ -120,6 +120,28 @@ def test_check_model_honours_search_window(tmp_path):
     assert margins == [9.0, 1.0]
 
 
+def test_bifurcate_honours_search_window(tmp_path):
+    # the family's members carry the configured window: with V_max = 0.5,
+    # below the drift b = 1, the lam = 0.2 member's pinned limit runs into
+    # the window's end and degenerates; at the default V_max = 10 it is
+    # periodic with a handful of window hits
+    classes, hits = [], []
+    for extra in ("", "search.V_max = 0.5\n"):
+        cfg = tmp_path / "bif.cfg"
+        cfg.write_text("model.lambda = 0.5\nbifurcate.lambdas = -0.2,0.2\n"
+                       "bifurcate.grid_n = 128\n" + extra)
+        out = str(tmp_path / f"bif{len(hits)}")
+        assert cli.main(["bifurcate", "--config", str(cfg), "--out",
+                         out]) == 0
+        with open(os.path.join(out, "bifurcation.csv")) as fh:
+            classes.append([line.split(",")[1]
+                            for line in fh.read().splitlines()[1:]])
+        hits.append(manifest_of(out)["window_hits"])
+    assert classes == [["fixed_point", "periodic"],
+                       ["fixed_point", "degenerate"]]
+    assert hits[0] < 1000 < hits[1]
+
+
 def test_check_model_failure_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.lambda = -0.5\n")
@@ -167,11 +189,13 @@ def test_bad_expression_exit_4(tmp_path, line):
 @pytest.mark.parametrize("line", [
     "evolve.T = -1", "evolve.dt = nan", "search.V_max = inf",
     "evolve.T = inf", "caps.U_cap = nan", "evolve.T 1",
-    "model.family = cubic"])
+    "model.family = cubic", "action.method = bogus",
+    "action.direction = sideways"])
 def test_bad_number_exit_4(tmp_path, line):
     # a float that is not finite, a negative horizon, a line without '='
-    # or an unknown model family is a config error, not a failure of the
-    # command
+    # or a string outside its key's choices (model family, action method
+    # or direction) is a config error, not a failure of the command, even
+    # for a command that never reads the key
     cfg = tmp_path / "num.cfg"
     cfg.write_text(CD_CFG.replace("grid.n = 256", "grid.n = 64") + line + "\n")
     out = str(tmp_path / "out")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ from circlehj.golden import CDV_ORBIT
 from circlehj.model import (conjugate_model, make_quadratic_model,
                             shift_hamiltonian)
 from circlehj.selftest import sweep_jacobian_error
+
+from conftest import LAM
 
 
 def test_integrate_contact_cd_winding(cd_model):
@@ -34,6 +37,17 @@ def test_integrate_contact_steps_at_most_dt(cd_model):
         cd_model, flow.ContactState(0.0, 0.0, 0.0), (0.0, 1.4e-3), 1e-3)
     assert len(times) == len(states) == 3
     assert np.diff(times) == pytest.approx([7e-4, 7e-4], abs=1e-15)
+
+
+def test_integrate_contact_backward_span(cd_model):
+    # a backward span is split by its length like a forward one: 1000
+    # steps of -1e-3, landing on p = p0 e^(-lam) of constant drift
+    s0 = flow.ContactState(0.3, 0.2, 0.1)
+    for span in ((1.0, 0.0), (0.0, -1.0)):
+        times, states, _ = flow.integrate_contact(cd_model, s0, span, 1e-3)
+        assert len(times) == len(states) == 1001
+        assert times[-1] == pytest.approx(span[1], abs=1e-12)
+        assert abs(states[-1].p - 0.2 * math.exp(-LAM)) <= 1e-12
 
 
 def test_integrate_contact_blowup(cd_model):

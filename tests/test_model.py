@@ -230,7 +230,7 @@ def test_p_star_batch_settles_clamped_momenta(custom_model):
     x = np.linspace(0.0, 1.0, 128, endpoint=False)[:, None]
     v = np.linspace(-10.0, 10.0, 129)[None, :]
     u = 0.3 * np.cos(2 * np.pi * x)
-    p = solve_p_star_batch(counted, x, v, u, p_max=10.0)
+    p = solve_p_star_batch(counted, x, v, u)
     assert len(calls) <= 6
     clamped = np.broadcast_to(v - 1.0 < -10.0, p.shape)
     assert clamped.sum() == 896
@@ -280,6 +280,22 @@ def test_freeze_classical(cdv_model):
     assert float(frozen.eval_H(0.2, 0.3, 7.0)) == pytest.approx(
         float(cdv_model.eval_H(0.2, 0.3, 0.0)))
     assert float(frozen.d_u(0.2, 0.3, 7.0)) == 0.0
+
+
+def test_derived_models_keep_window(cd_model):
+    # a derived model carries its parent's search window: the conjugate
+    # (forward semigroup, backward action), the frozen model (critical
+    # value) and the shifted one (--normalize-c) all step in it
+    window = sg.SearchParams(v_max=0.5, p_max=2.0)
+    model = dataclasses.replace(cd_model, search=window)
+    for derived in (conjugate_model(model), freeze_classical(model),
+                    shift_hamiltonian(model, 0.1),
+                    conjugate_model(freeze_classical(model))):
+        assert derived.search == window
+    assert (conjugate_model(model).kappa, shift_hamiltonian(model, 0.1).delta
+            ) == (model.kappa, model.delta)
+    assert (freeze_classical(model).kappa, freeze_classical(model).delta
+            ) == (0.0, 0.0)
 
 
 def test_no_bracket_raised(cd_model):

@@ -98,7 +98,7 @@ def test_step_reaches_window_minimum(cd_model, cdv_model, custom_model, n,
                                    "0.1*cos(4*pi*x)", LAM)
     v = np.linspace(-sg.DEFAULT_SEARCH.v_max, sg.DEFAULT_SEARCH.v_max, 4001)
     for model in (cd_model, cdv_model, varying, custom_model):
-        ws = sg._StepWorkspace(model, g, dt, sg.DEFAULT_SEARCH)
+        ws = sg._StepWorkspace(model, g, dt)
         for values in [phi] + [f.values for f in pinned]:
             block, block_v = ws.cell_block(values, u)
             j = np.argmin(block, axis=1)
@@ -212,7 +212,7 @@ def test_generic_step_matches_plain_iteration(cd_model, custom_model):
     for model in (custom_model, replica):
         # kappa dt = 0.45 reaches every cell of the circle
         for dt in (g.h, 1.0 / 16, 0.45 / model.kappa):
-            ws = sg._StepWorkspace(model, g, dt, sg.DEFAULT_SEARCH)
+            ws = sg._StepWorkspace(model, g, dt)
             stepped = sg.lax_oleinik_step(model, pinned, dt)
             for values in (smooth, rough, pinned.values, stepped.values):
                 got, got_v = sg._step_generic(ws, values)
@@ -235,7 +235,7 @@ def test_generic_step_second_frozen_round(monkeypatch):
     # the fixed point; the certifying sweep then starts another frozen round
     model = u_drift_model()
     g = sg.Grid(128)
-    ws = sg._StepWorkspace(model, g, 1.0 / 16, sg.DEFAULT_SEARCH)
+    ws = sg._StepWorkspace(model, g, 1.0 / 16)
     values = np.random.default_rng(0).uniform(-0.1, 0.1, g.n)
     want, want_v = plain_step(ws, values)
     calls = counted_sweeps(monkeypatch)
@@ -250,7 +250,7 @@ def test_certifying_sweep_reproduces_frozen_cells():
     # frozen-cell value bit for bit at every node whose cell did not move
     model = u_drift_model()
     g = sg.Grid(128)
-    ws = sg._StepWorkspace(model, g, 1.0 / 16, sg.DEFAULT_SEARCH)
+    ws = sg._StepWorkspace(model, g, 1.0 / 16)
     values = np.random.default_rng(0).uniform(-0.1, 0.1, g.n)
     first, _, cols = ws.window_minimum(values, values)
     cells = ws.frozen_cells(cols)
@@ -297,26 +297,25 @@ def test_replace_without_record_takes_generic_path(cd_model, grid256,
 
 def test_workspace_reused_only_when_it_matches(cd_model, cd_orbit,
                                               monkeypatch):
-    # the slot's workspace must not serve another search window, dt or
-    # model: on the zero datum the narrow window (drift 3 > v_max = 2)
-    # puts every minimizing velocity on the window end, the default one
-    # puts none there
+    # the slot's workspace must not serve another model, even one that
+    # differs only in its search window, or another dt: on the zero datum
+    # the narrow window (drift 3 > v_max = 2) puts every minimizing
+    # velocity on the window end, the default one puts none there
     model = constant_drift_model(3.0, LAM)
     g = sg.Grid(256)
     dt = 0.5 * g.h
-    narrow = sg.SearchParams(v_max=2.0)
+    narrow = dataclasses.replace(model, search=sg.SearchParams(v_max=2.0))
     phi = sg.Field.constant(g, 0.0)
-    ref = sg.evolve(model, phi, 26 * dt, dt, search=narrow)
+    ref = sg.evolve(narrow, phi, 26 * dt, dt)
     assert sg.evolve(model, phi, 26 * dt, dt).window_hits == 0
-    got = sg.evolve(model, phi, 26 * dt, dt, search=narrow)
+    got = sg.evolve(narrow, phi, 26 * dt, dt)
     assert got.window_hits == ref.window_hits == 26 * g.n
     assert np.array_equal(got.final.values, ref.final.values)
-    step = sg.lax_oleinik_step(model, phi, dt, search=narrow).values
-    for other, other_dt, other_search in (
-            (model, dt, sg.DEFAULT_SEARCH), (model, 2.0 * g.h, narrow),
-            (conjugate_model(model), dt, narrow)):
-        sg.lax_oleinik_step(other, phi, other_dt, search=other_search)
-        got = sg.lax_oleinik_step(model, phi, dt, search=narrow)
+    step = sg.lax_oleinik_step(narrow, phi, dt).values
+    for other, other_dt in ((model, dt), (narrow, 2.0 * g.h),
+                            (conjugate_model(narrow), dt)):
+        sg.lax_oleinik_step(other, phi, other_dt)
+        got = sg.lax_oleinik_step(narrow, phi, dt)
         assert np.array_equal(got.values, step)
     # a matching workspace is reused: one per reversibility solve, and at
     # most two per pinned limit (its periods, then its slices)
@@ -379,11 +378,10 @@ def test_evolve_rejects_contraction_break(cd_model, grid256):
     with pytest.raises(ValueError):
         sg.lax_oleinik_step(cd_model, sg.Field.constant(grid256, 0.0), 1.5)
     with pytest.raises(ValueError):
-        sg._StepWorkspace(cd_model, grid256, 1.5, sg.DEFAULT_SEARCH)
+        sg._StepWorkspace(cd_model, grid256, 1.5)
 
 
-def _step_chain(model, phi, T, dt, snapshot_every=None, u_cap=50.0,
-                search=sg.DEFAULT_SEARCH):
+def _step_chain(model, phi, T, dt, snapshot_every=None, u_cap=50.0):
     """evolve's (times, snapshots, window_hits, diverged), rebuilt from
     single lax_oleinik_step calls; the minimizing velocities come from the
     full cell block (quadratic models only)."""
@@ -392,14 +390,14 @@ def _step_chain(model, phi, T, dt, snapshot_every=None, u_cap=50.0,
     dt_eff = T / steps
     stride = (steps if snapshot_every is None
               else max(1, round(snapshot_every / dt_eff)))
-    ws = sg._StepWorkspace(model, g, dt_eff, search)
+    ws = sg._StepWorkspace(model, g, dt_eff)
     times, snaps = [0.0], [phi]
     current, hits, diverged = phi, 0, False
     for k in range(1, steps + 1):
         block, block_v = ws.cell_block(current.values, None)
         v = block_v[np.arange(g.n), np.argmin(block, axis=1)]
-        current = sg.lax_oleinik_step(model, current, dt_eff, search=search)
-        edge = np.abs(v) == search.v_max
+        current = sg.lax_oleinik_step(model, current, dt_eff)
+        edge = np.abs(v) == model.search.v_max
         if current.cap_value is not None:
             edge &= ~current.cap_mask
         hits += int(np.count_nonzero(edge))
@@ -429,7 +427,7 @@ def test_evolve_equals_step_chain(cd_model, case):
     rng = np.random.default_rng(7)
     phi = random_smooth_field(g, rng)
     T, dt, every, u_cap = 0.1, g.h, None, 50.0
-    search = sg.DEFAULT_SEARCH
+    model = cd_model
     if case == "snapshots":
         every = 0.02
     elif case.startswith("pinned"):
@@ -437,17 +435,17 @@ def test_evolve_equals_step_chain(cd_model, case):
         every = 0.03
         if case == "pinned_narrow":
             # a window narrower than the drift: capped nodes hit its end too
-            search = sg.SearchParams(v_max=0.5)
+            model = dataclasses.replace(cd_model,
+                                        search=sg.SearchParams(v_max=0.5))
     elif case == "diverges":
         # 0.6 e^{t/2} passes u_cap/2 = 0.65 near t = 0.16, between snapshots
         phi, T, every, u_cap = sg.Field.constant(g, 0.6), 1.0, 0.1, 1.3
     elif case == "reach82":
         phi = sg.Field(g, rng.uniform(-0.1, 0.1, g.n))
         T, dt = 0.04, 8e-3
-    trace = sg.evolve(cd_model, phi, T, dt, snapshot_every=every, u_cap=u_cap,
-                      search=search)
-    times, snaps, hits, diverged = _step_chain(cd_model, phi, T, dt, every,
-                                               u_cap, search)
+    trace = sg.evolve(model, phi, T, dt, snapshot_every=every, u_cap=u_cap)
+    times, snaps, hits, diverged = _step_chain(model, phi, T, dt, every,
+                                               u_cap)
     assert np.array_equal(trace.times, times)
     assert len(trace.snapshots) == len(snaps)
     for got, want in zip(trace.snapshots, snaps):
@@ -638,10 +636,9 @@ def test_flow_batch_alive_mask():
 def test_shooting_no_trajectory_landed(cd_model):
     from circlehj.errors import NoTrajectoryLanded
     # a vanishing momentum window pins every characteristic to x0 + t
-    tiny = sg.SearchParams(p_max=1e-9)
+    tiny = dataclasses.replace(cd_model, search=sg.SearchParams(p_max=1e-9))
     with pytest.raises(NoTrajectoryLanded):
-        sg.action_function(cd_model, 0.0, 0.0, 0.7, 0.2, method="shooting",
-                           search=tiny)
+        sg.action_function(tiny, 0.0, 0.0, 0.7, 0.2, method="shooting")
 
 
 def test_duality_roundtrip(cd_model):
@@ -836,13 +833,13 @@ def cosine_family(lam):
     return make_quadratic_model(1.0, 1.0, "0.2*cos(2*pi*x)", lam)
 
 
-def policy_solve(model, grid, tol, search=sg.DEFAULT_SEARCH, w0=0.1):
+def policy_solve(model, grid, tol, w0=0.1):
     """(w, residual, sweeps, window hits, AccuracyWarnings) of one solve
     at dt = h from the constant w0."""
     record = sg.RunRecord()
     with warnings.catch_warnings(record=True) as caught, sg.recording(record):
         warnings.simplefilter("always")
-        ws = sg._contracting_workspace(model, grid, grid.h, search)
+        ws = sg._contracting_workspace(model, grid, grid.h)
         w, residual = sg._policy_fixed_point(ws, np.full(grid.n, w0), tol,
                                              1.0 - ws.dt * ws.affine)
     accuracy = sum(issubclass(c.category, sg.AccuracyWarning) for c in caught)
@@ -894,9 +891,9 @@ def test_policy_fixed_point_counts_window_hits():
     # the drift b = 1 puts every node's vertex at v = 1, past v_max = 0.5:
     # the certifying sweep's n nodes are hits; dt = h <= h/v_max, no warning
     g = sg.Grid(128)
-    search = sg.SearchParams(v_max=0.5)
-    _, residual, sweeps, hits, accuracy = policy_solve(
-        constant_drift_model(1.0, -0.2), g, 1e-4, search=search)
+    model = dataclasses.replace(constant_drift_model(1.0, -0.2),
+                                search=sg.SearchParams(v_max=0.5))
+    _, residual, sweeps, hits, accuracy = policy_solve(model, g, 1e-4)
     assert (hits, accuracy) == (g.n, 0)
     assert sweeps == 2 and residual <= 1e-4
 
